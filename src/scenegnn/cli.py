@@ -47,7 +47,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=0, help="master seed for all stages")
     parser.add_argument("--strict", action="store_true", help="reject unknown input fields")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
-    parser.add_argument("--threads", type=int, default=1, help="worker bound (stages run sequentially)")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic static-scene dataset")
@@ -226,7 +225,9 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_correct(args) -> dict:
     ckpt = load_checkpoint(args.checkpoint)
-    detections = dataio.parse_detections(args.detections, strict=args.strict)
+    detections = dataio.parse_detections(
+        args.detections, strict=args.strict, n_classes=ckpt.config.n_classes
+    )
     corrected, records = correct_detections(
         detections, ckpt.params, ckpt.config, k=args.k, tau=args.tau
     )

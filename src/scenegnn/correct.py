@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame_rng
 from .metrics import Detection
-from .model import ModelConfig, ModelParams, predict
+from .model import ModelConfig, ModelParams, chunked, predict
 from .scenegraph import Frame, SceneObject, build_graph
 
 
-@dataclass
+@dataclass(slots=True)
 class CorrectionRecord:
     frame_id: str
     node_index: int
@@ -35,6 +35,8 @@ def correct_detections(
     argmax; boxes and confidences pass through untouched.
 
     Single-detection frames pass through unchanged (degenerate graph).
+    Consecutive frames are built into graphs and predicted one chunk at a
+    time, so graphs and network activations are held for one chunk only.
     """
     k = config.k if k is None else k
     tau = config.validity_threshold if tau is None else tau
@@ -45,50 +47,53 @@ def correct_detections(
 
     corrected: list[Detection | None] = [None] * len(detections)
     records: list[CorrectionRecord] = []
-    for frame_id, items in by_frame.items():
-        if len(items) == 1:
-            idx, det = items[0]
-            corrected[idx] = det
-            records.append(
-                CorrectionRecord(
-                    frame_id=frame_id,
-                    node_index=0,
-                    original_class=det.class_id,
-                    corrected_class=det.class_id,
-                    validity_score=1.0,
-                    applied=False,
-                    note="single-detection frame, passthrough",
+    for chunk in chunked(list(by_frame.items()), lambda frame: len(frame[1])):
+        graphs = [
+            build_graph(
+                Frame(frame_id, tuple(SceneObject(d.class_id, d.bbox) for _, d in items)),
+                k,
+                config.n_classes,
+            )
+            for frame_id, items in chunk
+            if len(items) > 1
+        ]
+        scores: list[float] = []
+        labels: list[int] = []
+        if graphs:
+            pred = predict(graphs, params, config)
+            scores, labels = pred.validity_prob.tolist(), pred.corrected_label.tolist()
+        node = 0
+        for frame_id, items in chunk:
+            if len(items) == 1:
+                idx, det = items[0]
+                corrected[idx] = det
+                records.append(
+                    CorrectionRecord(
+                        frame_id=frame_id,
+                        node_index=0,
+                        original_class=det.class_id,
+                        corrected_class=det.class_id,
+                        validity_score=1.0,
+                        applied=False,
+                        note="single-detection frame, passthrough",
+                    )
                 )
-            )
-            continue
-
-        frame = Frame(
-            frame_id,
-            tuple(SceneObject(det.class_id, det.bbox) for _, det in items),
-        )
-        graph = build_graph(frame, k, config.n_classes)
-        pred = predict(graph, params, config)
-        is_invalid = pred.validity_prob < tau
-        for node, (idx, det) in enumerate(items):
-            new_class = int(pred.corrected_label[node])
-            applied = bool(is_invalid[node]) and new_class != det.class_id
-            out_class = new_class if bool(is_invalid[node]) else det.class_id
-            corrected[idx] = Detection(
-                frame_id=det.frame_id,
-                class_id=out_class,
-                bbox=det.bbox,
-                confidence=det.confidence,
-            )
-            records.append(
-                CorrectionRecord(
-                    frame_id=frame_id,
-                    node_index=node,
-                    original_class=det.class_id,
-                    corrected_class=out_class,
-                    validity_score=float(pred.validity_prob[node]),
-                    applied=applied,
+                continue
+            for node_index, (idx, det) in enumerate(items):
+                out_class = labels[node] if scores[node] < tau else det.class_id
+                applied = out_class != det.class_id
+                corrected[idx] = replace(det, class_id=out_class) if applied else det
+                records.append(
+                    CorrectionRecord(
+                        frame_id=frame_id,
+                        node_index=node_index,
+                        original_class=det.class_id,
+                        corrected_class=out_class,
+                        validity_score=scores[node],
+                        applied=applied,
+                    )
                 )
-            )
+                node += 1
     return list(corrected), records
 
 

@@ -169,7 +169,11 @@ def write_frames(path: str, dataset: FrameDataset) -> None:
     atomic_write_text(path, frames_to_jsonl(dataset))
 
 
-def parse_detections(path: str, strict: bool = False) -> list[Detection]:
+def parse_detections(
+    path: str, strict: bool = False, n_classes: int | None = None
+) -> list[Detection]:
+    """Read a detections JSONL file; with ``n_classes``, a class_id outside
+    [0, n_classes) is an error that names its line."""
     detections: list[Detection] = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
@@ -195,6 +199,10 @@ def parse_detections(path: str, strict: bool = False) -> list[Detection]:
                 raise FramesFileError(f"line {line_no}: missing field {exc}") from exc
             except ValueError as exc:
                 raise FramesFileError(f"line {line_no}: {exc}") from exc
+            if n_classes is not None and not 0 <= det.class_id < n_classes:
+                raise FramesFileError(
+                    f"line {line_no}: class_id {det.class_id} out of range [0, {n_classes})"
+                )
             detections.append(det)
     return detections
 

@@ -201,23 +201,16 @@ def evaluate_graphs(graphs, params, config) -> EvalReport:
     """
     from .model import predict  # local import keeps module load order flat
 
-    pred_invalid, gt_valid, pred_labels, gt_labels = [], [], [], []
-    for g in graphs:
-        p = predict(g, params, config)
-        pred_invalid.append(p.is_invalid)
-        gt_valid.append(g.validity)
-        pred_labels.append(p.corrected_label)
-        gt_labels.append(g.original_labels)
-    pred_invalid = np.concatenate(pred_invalid)
-    gt_valid = np.concatenate(gt_valid)
+    p = predict(graphs, params, config)
+    gt_valid = np.concatenate([g.validity for g in graphs])
     lm = label_metrics(
-        np.concatenate(pred_labels),
-        np.concatenate(gt_labels),
-        pred_invalid,
+        p.corrected_label,
+        np.concatenate([g.original_labels for g in graphs]),
+        p.is_invalid,
         config.n_classes,
     )
     return EvalReport(
-        validity_accuracy=validity_accuracy(~pred_invalid, gt_valid),
+        validity_accuracy=validity_accuracy(~p.is_invalid, gt_valid),
         label=lm,
         n_nodes=int(gt_valid.size),
     )

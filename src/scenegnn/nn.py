@@ -1,7 +1,8 @@
 """Dense neural-network kernels: GraphSAGE mean aggregation, heads, losses,
 hand-written reverse-mode gradients and Adam. float64 throughout.
 
-No ML framework; scipy.sparse carries the per-batch gather/scatter maps.
+No ML framework. Mean aggregation is one scipy.sparse matrix per batch, the
+row-normalised adjacency of the batch's disjoint union of graphs.
 """
 
 from __future__ import annotations
@@ -114,14 +115,11 @@ class GraphBatch:
     """Disjoint union of scene graphs prepared for forward/backward passes."""
 
     x: np.ndarray  # N x F node inputs
-    edge_x: np.ndarray  # E x 6 normalized edge features
-    src: np.ndarray
-    dst: np.ndarray
+    adj: sp.csr_matrix = field(repr=False)  # N x N, 1/|N(i)| at each neighbour of i
+    edge_mean: np.ndarray  # N x 6 mean normalized feature of each node's out-edges
     validity_gt: np.ndarray  # N bools
     label_gt: np.ndarray  # N ints (original labels)
     node_weights: np.ndarray  # per-node loss weights
-    agg_mat: sp.csr_matrix = field(repr=False, default=None)  # N x E, rows sum to 1
-    gather_mat: sp.csr_matrix = field(repr=False, default=None)  # E x N
     ce_weights: np.ndarray | None = None  # overrides node_weights for the CE term
 
     @property
@@ -135,62 +133,43 @@ def node_inputs(graph: SceneGraph, label_encoding: str) -> np.ndarray:
     return graph.node_features
 
 
-def make_batch(
-    graphs: list[SceneGraph],
-    label_encoding: str = "scalar",
-    reduction: str = "per-graph-mean",
-) -> GraphBatch:
-    """Union of graphs with per-node loss weights.
+def make_batch(graphs: list[SceneGraph], label_encoding: str) -> GraphBatch:
+    """Union of graphs; node losses are averaged within each graph and then
+    across graphs.
 
-    reduction "per-graph-mean" averages node losses within each graph and
-    then across graphs; "node-mean" averages over all nodes of the batch;
-    "sum" applies unit weights.
+    Edges are grouped by source with a stable sort, so each row of ``adj``
+    lists its neighbours in edge order. For edges sorted by (src, dst), as
+    build_graph makes them, ``adj @ h`` adds the same products in the same
+    order as a mean over gathered per-edge messages.
     """
     xs, exs, srcs, dsts, vals, labs, wts = [], [], [], [], [], [], []
     offset = 0
-    total_nodes = sum(g.n_nodes for g in graphs)
     for g in graphs:
         xs.append(node_inputs(g, label_encoding))
         exs.append(normalize_edge_features(g.edge_features))
-        if g.n_edges:
-            srcs.append(g.edges[:, 0] + offset)
-            dsts.append(g.edges[:, 1] + offset)
+        srcs.append(g.edges[:, 0] + offset)
+        dsts.append(g.edges[:, 1] + offset)
         vals.append(g.validity)
         labs.append(g.original_labels)
-        if reduction == "per-graph-mean":
-            wts.append(np.full(g.n_nodes, 1.0 / (g.n_nodes * len(graphs))))
-        elif reduction == "node-mean":
-            wts.append(np.full(g.n_nodes, 1.0 / total_nodes))
-        elif reduction == "sum":
-            wts.append(np.ones(g.n_nodes))
-        else:
-            raise ValueError(f"unknown reduction {reduction!r}")
+        wts.append(np.full(g.n_nodes, 1.0 / (g.n_nodes * len(graphs))))
         offset += g.n_nodes
 
-    x = np.concatenate(xs)
-    edge_x = np.concatenate(exs) if exs else np.zeros((0, 6))
-    src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
-    dst = np.concatenate(dsts) if dsts else np.zeros(0, dtype=np.int64)
+    src = np.concatenate(srcs)
     n, e = offset, src.shape[0]
-
-    deg = np.bincount(src, minlength=n).astype(np.float64)
-    inv_deg = 1.0 / np.maximum(deg, 1.0)
-    agg_mat = sp.csr_matrix(
-        (inv_deg[src], (src, np.arange(e))), shape=(n, e)
-    )
-    gather_mat = sp.csr_matrix(
-        (np.ones(e), (np.arange(e), dst)), shape=(e, n)
-    )
+    order = np.argsort(src, kind="stable")
+    deg = np.bincount(src, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    weights = (1.0 / np.maximum(deg, 1.0))[src[order]]
+    adj = sp.csr_matrix((weights, np.concatenate(dsts)[order], indptr), shape=(n, n))
+    edge_agg = sp.csr_matrix((weights, order, indptr), shape=(n, e))
     return GraphBatch(
-        x=x,
-        edge_x=edge_x,
-        src=src,
-        dst=dst,
+        x=np.concatenate(xs),
+        adj=adj,
+        edge_mean=edge_agg @ np.concatenate(exs),
         validity_gt=np.concatenate(vals),
         label_gt=np.concatenate(labs),
         node_weights=np.concatenate(wts),
-        agg_mat=agg_mat,
-        gather_mat=gather_mat,
     )
 
 
@@ -198,50 +177,16 @@ def make_batch(
 # forward
 
 
-def _messages(h: np.ndarray, batch: GraphBatch, msg_mode: str) -> np.ndarray:
-    neigh = batch.gather_mat @ h
-    if msg_mode == MSG_NODES_EDGES:
-        return np.concatenate([neigh, batch.edge_x], axis=1)
-    return neigh
-
-
 def _layer_forward(
     layer: SageLayer, h: np.ndarray, batch: GraphBatch, msg_mode: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (agg, pre_activation, output)."""
-    agg = batch.agg_mat @ _messages(h, batch, msg_mode)
+    """Returns (agg, pre_activation, output); the mean over an empty
+    neighbourhood is the zero vector."""
+    agg = batch.adj @ h
+    if msg_mode == MSG_NODES_EDGES:
+        agg = np.concatenate([agg, batch.edge_mean], axis=1)
     pre = h @ layer.w_self.T + agg @ layer.w_neigh.T + layer.bias
     return agg, pre, np.maximum(pre, 0.0)
-
-
-def sage_forward(
-    layer: SageLayer, node_inputs: np.ndarray, graph: SceneGraph, msg_mode: str
-) -> np.ndarray:
-    """Single GraphSAGE layer on one graph; mean over an empty neighbourhood
-    is the zero vector."""
-    batch = _single_graph_batch(graph, node_inputs)
-    _, _, out = _layer_forward(layer, node_inputs, batch, msg_mode)
-    return out
-
-
-def _single_graph_batch(graph: SceneGraph, x: np.ndarray) -> GraphBatch:
-    n = graph.n_nodes
-    src = graph.edges[:, 0] if graph.n_edges else np.zeros(0, dtype=np.int64)
-    dst = graph.edges[:, 1] if graph.n_edges else np.zeros(0, dtype=np.int64)
-    e = src.shape[0]
-    deg = np.bincount(src, minlength=n).astype(np.float64)
-    inv_deg = 1.0 / np.maximum(deg, 1.0)
-    return GraphBatch(
-        x=x,
-        edge_x=normalize_edge_features(graph.edge_features),
-        src=src,
-        dst=dst,
-        validity_gt=graph.validity,
-        label_gt=graph.original_labels,
-        node_weights=np.full(n, 1.0 / n),
-        agg_mat=sp.csr_matrix((inv_deg[src], (src, np.arange(e))), shape=(n, e)),
-        gather_mat=sp.csr_matrix((np.ones(e), (np.arange(e), dst)), shape=(e, n)),
-    )
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -304,24 +249,6 @@ def ce_terms(class_logits: np.ndarray, label_gt: np.ndarray) -> np.ndarray:
     return log_z - shifted[np.arange(len(label_gt)), label_gt]
 
 
-def multitask_loss(
-    validity_prob: np.ndarray,
-    class_logits: np.ndarray,
-    validity_gt: np.ndarray,
-    label_gt: np.ndarray,
-    lam_valid: float = 1.0,
-    lam_label: float = 1.0,
-    weights: np.ndarray | None = None,
-) -> float:
-    """Weighted sum of per-node BCE and CE terms; default weights average
-    over nodes. Label targets are the original (pre-corruption) labels."""
-    if weights is None:
-        weights = np.full(len(validity_gt), 1.0 / len(validity_gt))
-    bce = float(weights @ bce_terms(validity_prob, validity_gt))
-    ce = float(weights @ ce_terms(class_logits, label_gt))
-    return lam_valid * bce + lam_label * ce
-
-
 def loss_components(
     cache: ForwardCache, batch: GraphBatch
 ) -> tuple[float, float]:
@@ -345,9 +272,9 @@ def backward(
     lam_valid: float = 1.0,
     lam_label: float = 1.0,
 ) -> ModelParams:
-    """Exact gradients of multitask_loss (with batch.node_weights) for every
-    parameter. Each neighbour message receives 1/|N(i)| of the upstream
-    gradient through the mean aggregation."""
+    """Exact gradients of lam_valid * bce + lam_label * ce, the two terms of
+    loss_components, for every parameter. Each neighbour receives 1/|N(i)|
+    of the upstream gradient through the mean aggregation."""
     w = batch.node_weights
     wc = batch.ce_weights if batch.ce_weights is not None else w
     n = batch.n_nodes
@@ -373,9 +300,8 @@ def backward(
             bias=d_pre.sum(axis=0),
         )
         d_agg = d_pre @ layer.w_neigh
-        d_msg = batch.agg_mat.T @ d_agg
         f_in = h_in.shape[1]
-        d_h_in = d_pre @ layer.w_self + batch.gather_mat.T @ d_msg[:, :f_in]
+        d_h_in = d_pre @ layer.w_self + batch.adj.T @ d_agg[:, :f_in]
         return g, d_h_in
 
     g_sage2, d_h1raw = layer_backward(

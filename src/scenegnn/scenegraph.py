@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class SceneGraph:
     original_labels: np.ndarray  # N ints, pre-corruption ground truth
     current_labels: np.ndarray  # N ints, possibly corrupted / detector-predicted
     n_classes: int
-    boxes: tuple[BoundingBox, ...] = field(default=())
 
     @property
     def n_nodes(self) -> int:
@@ -126,7 +125,6 @@ def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
         original_labels=labels.copy(),
         current_labels=labels,
         n_classes=n_classes,
-        boxes=boxes,
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import nn
 from .corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame_rng
 from .metrics import evaluate_graphs
-from .model import ModelConfig, ModelParams, init_model, predict
+from .model import ModelConfig, ModelParams, init_model
 from .scenegraph import Frame, SceneGraph, build_graph
 
 

@@ -163,14 +163,8 @@ def test_criterion_1_gradient_oracle():
         grads = nn.backward(params, cache, batch, msg_mode, 1.0, 1.0)
 
         def loss():
-            c = nn.full_forward(params, batch, msg_mode)
-            return nn.multitask_loss(
-                c.validity_prob,
-                c.class_logits,
-                batch.validity_gt,
-                batch.label_gt,
-                weights=batch.node_weights,
-            )
+            bce, ce = nn.loss_components(nn.full_forward(params, batch, msg_mode), batch)
+            return bce + ce  # lam_valid = lam_label = 1.0, as passed to backward
 
         step = 1e-5
         for (_, arr), (_, grad) in zip(nn.param_items(params), nn.param_items(grads)):
@@ -386,8 +380,8 @@ def test_criterion_9_determinism_and_checkpoint(tmp_path):
     save_checkpoint(params, config, path)
     ckpt = load_checkpoint(path)
     graph = test_g[0]
-    pa = predict(graph, params, config)
-    pb = predict(graph, ckpt.params, ckpt.config)
+    pa = predict([graph], params, config)
+    pb = predict([graph], ckpt.params, ckpt.config)
     np.testing.assert_array_equal(pa.validity_prob, pb.validity_prob)
     np.testing.assert_array_equal(pa.corrected_label, pb.corrected_label)
     np.testing.assert_array_equal(pa.confidence, pb.confidence)
@@ -399,20 +393,8 @@ def test_criterion_9_determinism_and_checkpoint(tmp_path):
 
 def test_criterion_10_loss_sanity(runs):
     # chance-level fixed points: BCE at p=0.5 and CE over 39 uniform classes
-    bce = nn.multitask_loss(
-        np.full(4, 0.5),
-        np.zeros((4, 39)),
-        np.array([True, False, True, False]),
-        np.arange(4),
-        lam_label=0.0,
-    )
-    ce = nn.multitask_loss(
-        np.full(4, 0.5),
-        np.zeros((4, 39)),
-        np.array([True, False, True, False]),
-        np.arange(4),
-        lam_valid=0.0,
-    )
+    bce = float(np.mean(nn.bce_terms(np.full(4, 0.5), np.array([True, False, True, False]))))
+    ce = float(np.mean(nn.ce_terms(np.zeros((4, 39)), np.arange(4))))
     assert abs(bce - math.log(2.0)) < 1e-9
     assert abs(ce - math.log(39.0)) < 1e-9
 

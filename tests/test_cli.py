@@ -11,6 +11,7 @@ from scenegnn.cli import EXIT_INPUT, EXIT_OK, main
 from scenegnn.dataio import parse_detections, parse_frames, write_detections, write_frames
 from scenegnn.geometry import BoundingBox
 from scenegnn.metrics import Detection
+from scenegnn.model import ModelConfig, init_model, save_checkpoint
 from scenegnn.scenegraph import Frame, SceneObject
 from scenegnn.dataio import FrameDataset, FrameRecord
 
@@ -66,6 +67,27 @@ class TestUsageErrors:
         )
         assert code == EXIT_INPUT
         assert "line 1" in err
+
+
+class TestCorrectCommand:
+    def test_class_id_out_of_range_names_line(self, capsys, tmp_path):
+        config = ModelConfig(n_classes=39, hidden_dim=8)
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(init_model(config), config, ckpt)
+        det_path = tmp_path / "dets.jsonl"
+        det_path.write_text(
+            '{"frame_id": "f", "class_id": 3, "bbox": [0.1, 0.1, 0.2, 0.2], "confidence": 0.9}\n'
+            '{"frame_id": "f", "class_id": 45, "bbox": [0.3, 0.3, 0.4, 0.4], "confidence": 0.9}\n'
+        )
+        code, _, err = _run(
+            capsys,
+            [
+                "correct", "--detections", str(det_path), "--checkpoint", ckpt,
+                "--out", str(tmp_path / "fixed.jsonl"),
+            ],
+        )
+        assert code == EXIT_INPUT
+        assert "line 2" in err and "class_id 45" in err
 
 
 class TestMapCommand:

@@ -69,6 +69,33 @@ class TestCorrectDetections:
             assert after.frame_id == before.frame_id
             assert after.bbox == before.bbox
 
+    def test_record_order_with_interleaved_and_single_frames(self):
+        # enough frames to span several prediction chunks; records come per
+        # frame in order of first appearance, passthrough frames in place
+        config = ModelConfig(n_classes=6, hidden_dim=8)
+        params = init_model(config, np.random.default_rng(1))
+        multi = _detections(seed=9, n_frames=12, per_frame=9)
+        dets = multi[::3] + multi[1::3] + multi[2::3]
+        for i, pos in enumerate((0, 20, len(dets))):
+            dets.insert(pos, Detection(f"solo{i}", 2, BoundingBox(0.1, 0.1, 0.2, 0.2), 0.8))
+
+        frame_order = list(dict.fromkeys(d.frame_id for d in dets))
+        per_frame = {fid: [d for d in dets if d.frame_id == fid] for fid in frame_order}
+        out, records = correct_detections(dets, params, config)
+        assert [(r.frame_id, r.node_index) for r in records] == [
+            (fid, i) for fid in frame_order for i in range(len(per_frame[fid]))
+        ]
+
+        alone = {fid: correct_detections(per_frame[fid], params, config) for fid in frame_order}
+        for r in records:
+            ref = alone[r.frame_id][1][r.node_index]
+            assert (r.original_class, r.corrected_class, r.applied, r.note) == (
+                ref.original_class, ref.corrected_class, ref.applied, ref.note,
+            )
+            assert abs(r.validity_score - ref.validity_score) <= 1e-12
+        slot = {fid: iter(alone[fid][0]) for fid in frame_order}
+        assert out == [next(slot[d.frame_id]) for d in dets]
+
     def test_single_detection_frame_passthrough(self):
         config = ModelConfig(n_classes=6, hidden_dim=8)
         params = init_model(config, np.random.default_rng(1))

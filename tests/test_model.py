@@ -6,14 +6,15 @@ import pytest
 from scenegnn import nn
 from scenegnn.geometry import BoundingBox
 from scenegnn.model import (
+    PREDICT_CHUNK_NODES,
     CheckpointDimensionError,
     CheckpointFormatError,
     CheckpointVersionError,
     ConfigMismatchError,
     ModelConfig,
+    chunked,
     init_model,
     load_checkpoint,
-    model_forward,
     predict,
     save_checkpoint,
 )
@@ -44,9 +45,10 @@ class TestModelForward:
         params.label_head.w[:] = 0.0
         params.label_head.b[:] = 0.0
         g = fixed_graph()
-        v, probs = model_forward(g, params, cfg)
-        np.testing.assert_array_equal(v, np.full(4, 0.5))
-        np.testing.assert_allclose(probs, np.full((4, 6), 1 / 6))
+        p = predict([g], params, cfg)
+        np.testing.assert_array_equal(p.validity_prob, np.full(4, 0.5))
+        np.testing.assert_allclose(p.confidence, np.full(4, 1 / 6))
+        np.testing.assert_array_equal(p.corrected_label, np.zeros(4, dtype=int))
 
     def test_single_node_graph(self):
         cfg = ModelConfig(n_classes=6, hidden_dim=8)
@@ -54,16 +56,19 @@ class TestModelForward:
         g = build_graph(
             Frame("one", (SceneObject(3, BoundingBox(0.2, 0.2, 0.6, 0.6)),)), 5, 6
         )
-        v, probs = model_forward(g, params, cfg)
-        assert v.shape == (1,) and probs.shape == (1, 6)
-        assert np.all(np.isfinite(v)) and np.all(np.isfinite(probs))
+        p = predict([g], params, cfg)
+        assert p.validity_prob.shape == (1,) and p.confidence.shape == (1,)
+        assert np.all(np.isfinite(p.validity_prob)) and np.all(np.isfinite(p.confidence))
+        assert 0 <= p.corrected_label[0] < 6
 
     def test_reference_straight_line_evaluation(self):
         # independent re-implementation with plain loops over edges
         cfg = ModelConfig(n_classes=6, hidden_dim=8, label_encoding="scalar", seed=11)
         params = init_model(cfg)
         g = fixed_graph(seed=3)
-        v, probs = model_forward(g, params, cfg)
+        p = predict([g], params, cfg)
+        cache = nn.full_forward(params, nn.make_batch([g], "scalar"), cfg.msg_mode)
+        probs = nn.softmax(cache.class_logits)
 
         x = g.node_features
         ef = normalize_edge_features(g.edge_features)
@@ -82,23 +87,24 @@ class TestModelForward:
         h2 = layer(layer(x, params.sage1), params.sage2)
         for i in range(g.n_nodes):
             z = (params.valid_head.w @ h2[i] + params.valid_head.b).item()
-            assert v[i] == pytest.approx(1 / (1 + np.exp(-z)), abs=1e-12)
+            assert p.validity_prob[i] == pytest.approx(1 / (1 + np.exp(-z)), abs=1e-12)
             logits = params.label_head.w @ h2[i] + params.label_head.b
             ref = np.exp(logits - logits.max())
             ref /= ref.sum()
             np.testing.assert_allclose(probs[i], ref, atol=1e-12)
-
-    def test_probs_sum_to_one(self):
-        cfg = ModelConfig(n_classes=6, hidden_dim=8)
-        params = init_model(cfg)
-        _, probs = model_forward(fixed_graph(), params, cfg)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+            assert p.confidence[i] == pytest.approx(ref.max(), abs=1e-12)
+            assert p.corrected_label[i] == np.argmax(ref)
 
     def test_n_classes_mismatch_rejected(self):
         cfg = ModelConfig(n_classes=10, hidden_dim=8)
         params = init_model(cfg)
         with pytest.raises(ConfigMismatchError):
-            model_forward(fixed_graph(n_classes=6), params, cfg)
+            predict([fixed_graph(n_classes=6)], params, cfg)
+
+    def test_empty_graph_list_rejected(self):
+        cfg = ModelConfig(n_classes=6, hidden_dim=8)
+        with pytest.raises(ValueError, match="at least one graph"):
+            predict([], init_model(cfg), cfg)
 
 
 class TestPredict:
@@ -112,7 +118,7 @@ class TestPredict:
 
     def test_above_threshold_is_valid(self):
         cfg, params = self._with_forced_validity(0.7)
-        p = predict(fixed_graph(), params, cfg)
+        p = predict([fixed_graph()], params, cfg)
         assert not p.is_invalid.any()
 
     def test_exactly_threshold_is_valid(self):
@@ -121,7 +127,7 @@ class TestPredict:
         for name, arr in nn.param_items(params):
             if name.startswith("sage"):
                 arr[:] = 0.0
-        p = predict(fixed_graph(), params, cfg)
+        p = predict([fixed_graph()], params, cfg)
         np.testing.assert_array_equal(p.validity_prob, np.full(4, 0.5))
         assert not p.is_invalid.any()  # strict inequality
 
@@ -130,17 +136,51 @@ class TestPredict:
         params = init_model(cfg)
         for name, arr in nn.param_items(params):
             arr[:] = 0.0  # all logits equal -> class 0 wins everywhere
-        p = predict(fixed_graph(), params, cfg)
+        p = predict([fixed_graph()], params, cfg)
         np.testing.assert_array_equal(p.corrected_label, np.zeros(4, dtype=int))
 
     def test_constant_logit_shift_keeps_argmax(self):
         cfg = ModelConfig(n_classes=6, hidden_dim=8)
         params = init_model(cfg)
         g = fixed_graph()
-        before = predict(g, params, cfg).corrected_label
+        before = predict([g], params, cfg).corrected_label
         params.label_head.b += 3.7
-        after = predict(g, params, cfg).corrected_label
+        after = predict([g], params, cfg).corrected_label
         np.testing.assert_array_equal(before, after)
+
+
+class TestBatchedPredict:
+    def test_many_graphs_equal_per_graph_predictions(self):
+        # chunk boundaries fall between graphs, one graph exceeds the node cap
+        # and one single-node graph sits inside a chunk
+        sizes = [30, 20, 1, 25, PREDICT_CHUNK_NODES + 6, 10, 40, 3]
+        cfg = ModelConfig(n_classes=6, hidden_dim=8, seed=4)
+        params = init_model(cfg)
+        graphs = [fixed_graph(n=n, k=3, seed=i) for i, n in enumerate(sizes)]
+        chunks = chunked(graphs, lambda g: g.n_nodes)
+        assert [len(c) for c in chunks] == [3, 1, 1, 3]
+        assert any(len(c) == 1 and c[0].n_nodes > PREDICT_CHUNK_NODES for c in chunks)
+
+        together = predict(graphs, params, cfg)
+        alone = [predict([g], params, cfg) for g in graphs]
+        np.testing.assert_array_equal(
+            together.corrected_label, np.concatenate([p.corrected_label for p in alone])
+        )
+        np.testing.assert_array_equal(
+            together.is_invalid, np.concatenate([p.is_invalid for p in alone])
+        )
+        np.testing.assert_allclose(
+            together.validity_prob,
+            np.concatenate([p.validity_prob for p in alone]),
+            rtol=0,
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            together.confidence,
+            np.concatenate([p.confidence for p in alone]),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestCheckpoint:
@@ -153,9 +193,11 @@ class TestCheckpoint:
         assert ckpt.config == cfg
         assert ckpt.metadata == {"epochs_run": 3}
         g = fixed_graph()
-        v1, p1 = model_forward(g, params, cfg)
-        v2, p2 = model_forward(g, ckpt.params, ckpt.config)
-        assert np.array_equal(v1, v2) and np.array_equal(p1, p2)
+        p1 = predict([g], params, cfg)
+        p2 = predict([g], ckpt.params, ckpt.config)
+        assert np.array_equal(p1.validity_prob, p2.validity_prob)
+        assert np.array_equal(p1.confidence, p2.confidence)
+        assert np.array_equal(p1.corrected_label, p2.corrected_label)
 
     def test_truncated_file_is_error(self, tmp_path):
         cfg = ModelConfig(n_classes=6, hidden_dim=8)
@@ -215,7 +257,7 @@ class TestCheckpoint:
         save_checkpoint(init_model(cfg), cfg, path)
         ckpt = load_checkpoint(path)
         with pytest.raises(ConfigMismatchError):
-            model_forward(fixed_graph(n_classes=10), ckpt.params, ckpt.config)
+            predict([fixed_graph(n_classes=10)], ckpt.params, ckpt.config)
 
 
 class TestConfigValidation:

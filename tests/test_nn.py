@@ -30,16 +30,14 @@ def random_graph(n, rng, n_classes=N_CLASSES, k=3, corrupted=True):
 
 
 def loss_of(params, batch, msg_mode, lam_v=1.0, lam_l=1.0):
-    c = nn.full_forward(params, batch, msg_mode)
-    return nn.multitask_loss(
-        c.validity_prob,
-        c.class_logits,
-        batch.validity_gt,
-        batch.label_gt,
-        lam_v,
-        lam_l,
-        weights=batch.node_weights,
-    )
+    bce, ce = nn.loss_components(nn.full_forward(params, batch, msg_mode), batch)
+    return lam_v * bce + lam_l * ce
+
+
+def sage_layer(layer, x, graph, msg_mode):
+    """One GraphSAGE layer on one graph, through the batched path."""
+    batch = nn.make_batch([graph], "scalar")
+    return nn._layer_forward(layer, x, batch, msg_mode)[2]
 
 
 def finite_difference_check(params, batch, msg_mode, lam_v=1.0, lam_l=1.0, step=1e-5):
@@ -72,7 +70,7 @@ class TestSageForward:
             w_self=np.eye(5), w_neigh=np.zeros((5, 5)), bias=np.zeros(5)
         )
         x = g.node_features
-        out = nn.sage_forward(layer, x, g, nn.MSG_NODES)
+        out = sage_layer(layer, x, g, nn.MSG_NODES)
         np.testing.assert_array_equal(out, x)  # empty-neighbour mean is zero
 
     def test_two_node_clique_mean(self):
@@ -83,7 +81,7 @@ class TestSageForward:
         x[0, 0] = 1.0
         x[1, 1] = 1.0
         layer = nn.SageLayer(w_self=np.eye(f), w_neigh=np.eye(f), bias=np.zeros(f))
-        out = nn.sage_forward(layer, x, g, nn.MSG_NODES)
+        out = sage_layer(layer, x, g, nn.MSG_NODES)
         np.testing.assert_allclose(out[0], np.maximum(x[0] + x[1], 0))
 
     def test_zero_inputs_zero_outputs(self):
@@ -94,7 +92,7 @@ class TestSageForward:
             w_neigh=rng.normal(size=(6, 5)),
             bias=np.zeros(6),
         )
-        out = nn.sage_forward(layer, np.zeros((4, 5)), g, nn.MSG_NODES)
+        out = sage_layer(layer, np.zeros((4, 5)), g, nn.MSG_NODES)
         np.testing.assert_array_equal(out, np.zeros((4, 6)))
 
     def test_neighbor_order_invariance(self):
@@ -109,8 +107,8 @@ class TestSageForward:
             w_neigh=rng.normal(size=(4, 11)),
             bias=rng.normal(size=4),
         )
-        a = nn.sage_forward(layer, g.node_features, g, nn.MSG_NODES_EDGES)
-        b = nn.sage_forward(layer, g2.node_features, g2, nn.MSG_NODES_EDGES)
+        a = sage_layer(layer, g.node_features, g, nn.MSG_NODES_EDGES)
+        b = sage_layer(layer, g2.node_features, g2, nn.MSG_NODES_EDGES)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_outputs_finite_for_bounded_inputs(self):
@@ -123,7 +121,7 @@ class TestSageForward:
                 bias=rng.uniform(-1, 1, 7),
             )
             x = rng.uniform(-10, 10, (8, 5))
-            out = nn.sage_forward(layer, x, g, nn.MSG_NODES_EDGES)
+            out = sage_layer(layer, x, g, nn.MSG_NODES_EDGES)
             assert np.all(np.isfinite(out))
 
 
@@ -151,27 +149,19 @@ class TestHeadsAndLosses:
     def test_perfect_predictions_near_zero_loss(self):
         v = np.array([1.0 - 1e-15, 1e-15])
         logits = np.array([[80.0, 0.0], [0.0, 80.0]])
-        loss = nn.multitask_loss(
-            v, logits, np.array([True, False]), np.array([0, 1])
+        loss = np.mean(nn.bce_terms(v, np.array([True, False]))) + np.mean(
+            nn.ce_terms(logits, np.array([0, 1]))
         )
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_bce_at_half_is_ln2(self):
         v = np.full(4, 0.5)
-        logits = np.zeros((4, 3))
-        loss = nn.multitask_loss(
-            v, logits, np.array([True, False, True, False]), np.zeros(4, dtype=int),
-            lam_valid=1.0, lam_label=0.0,
-        )
+        loss = np.mean(nn.bce_terms(v, np.array([True, False, True, False])))
         assert loss == pytest.approx(math.log(2), abs=1e-9)
 
     def test_uniform_ce_is_ln39(self):
-        v = np.full(3, 0.5)
         logits = np.zeros((3, 39))
-        loss = nn.multitask_loss(
-            v, logits, np.ones(3, dtype=bool), np.array([0, 5, 38]),
-            lam_valid=0.0, lam_label=1.0,
-        )
+        loss = np.mean(nn.ce_terms(logits, np.array([0, 5, 38])))
         assert loss == pytest.approx(math.log(39), abs=1e-9)
 
 
@@ -181,7 +171,7 @@ class TestBackward:
         g = random_graph(5, rng)
         cfg = ModelConfig(n_classes=N_CLASSES, hidden_dim=8, label_encoding="scalar")
         params = init_model(cfg, rng)
-        batch = nn.make_batch([g])
+        batch = nn.make_batch([g], "scalar")
         cache = nn.full_forward(params, batch, cfg.msg_mode)
         grads = nn.backward(params, cache, batch, cfg.msg_mode, 0.0, 0.0)
         for _, garr in nn.param_items(grads):
@@ -192,15 +182,25 @@ class TestBackward:
         rng = np.random.default_rng(5)
         g = random_graph(6, rng)
         params = nn.init_params(5, 8, N_CLASSES, msg_mode, rng)
-        batch = nn.make_batch([g])
+        batch = nn.make_batch([g], "scalar")
         assert finite_difference_check(params, batch, msg_mode) < 1e-4
 
-    def test_duplicated_components_double_gradients_under_sum(self):
+    @pytest.mark.parametrize("msg_mode", [nn.MSG_NODES, nn.MSG_NODES_EDGES])
+    def test_finite_difference_oracle_multi_graph_batch(self, msg_mode):
+        # graphs of different sizes, one without edges, and CE on invalid nodes only
+        rng = np.random.default_rng(12)
+        graphs = [random_graph(n, rng) for n in (6, 1, 4, 3)]
+        params = nn.init_params(5, 8, N_CLASSES, msg_mode, rng)
+        batch = nn.make_batch(graphs, "scalar")
+        batch.ce_weights = batch.node_weights * ~batch.validity_gt
+        assert finite_difference_check(params, batch, msg_mode, 1.0, 2.0) < 1e-4
+
+    def test_duplicated_components_same_gradients_under_mean(self):
         rng = np.random.default_rng(6)
         g = random_graph(5, rng)
         params = nn.init_params(5, 8, N_CLASSES, nn.MSG_NODES_EDGES, rng)
-        single = nn.make_batch([g], reduction="sum")
-        double = nn.make_batch([g, g], reduction="sum")
+        single = nn.make_batch([g], "scalar")
+        double = nn.make_batch([g, g], "scalar")
         g1 = nn.backward(
             params, nn.full_forward(params, single, nn.MSG_NODES_EDGES), single,
             nn.MSG_NODES_EDGES,
@@ -210,7 +210,7 @@ class TestBackward:
             nn.MSG_NODES_EDGES,
         )
         for (_, a), (_, b) in zip(nn.param_items(g1), nn.param_items(g2)):
-            np.testing.assert_allclose(b, 2 * a, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
 
 class TestAdam:
