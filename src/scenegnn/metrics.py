@@ -200,15 +200,13 @@ def evaluate_graphs(graphs, params, config) -> EvalReport:
     scored against original labels for nodes the model flags as invalid.
     """
     from .model import predict  # local import keeps module load order flat
+    from .nn import PackedGraphs
 
+    if not isinstance(graphs, PackedGraphs):
+        graphs = PackedGraphs(graphs)
     p = predict(graphs, params, config)
-    gt_valid = np.concatenate([g.validity for g in graphs])
-    lm = label_metrics(
-        p.corrected_label,
-        np.concatenate([g.original_labels for g in graphs]),
-        p.is_invalid,
-        config.n_classes,
-    )
+    gt_valid = graphs.validity
+    lm = label_metrics(p.corrected_label, graphs.original_labels, p.is_invalid, config.n_classes)
     return EvalReport(
         validity_accuracy=validity_accuracy(~p.is_invalid, gt_valid),
         label=lm,

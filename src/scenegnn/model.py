@@ -93,7 +93,7 @@ def init_model(config: ModelConfig, rng: np.random.Generator | None = None) -> M
     )
 
 
-def _check_compatible(graph: SceneGraph, config: ModelConfig) -> None:
+def _check_compatible(graph: SceneGraph | nn.PackedGraphs, config: ModelConfig) -> None:
     if graph.n_classes != config.n_classes:
         raise ConfigMismatchError(
             f"graph built with n_classes={graph.n_classes}, "
@@ -125,7 +125,7 @@ def chunked(items: list, size: Callable[[object], int]) -> list[list]:
 
 
 def predict(
-    graphs: list[SceneGraph], params: ModelParams, config: ModelConfig
+    graphs: list[SceneGraph] | nn.PackedGraphs, params: ModelParams, config: ModelConfig
 ) -> Prediction:
     """Flags, corrected labels and confidences for every node of ``graphs``,
     concatenated in graph order.
@@ -135,13 +135,18 @@ def predict(
     before the next, so the N x C class probabilities of a large input are
     never held at once.
     """
-    if not graphs:
+    if not len(graphs):
         raise ValueError("predict needs at least one graph")
-    for g in graphs:
-        _check_compatible(g, config)
+    if isinstance(graphs, nn.PackedGraphs):
+        _check_compatible(graphs, config)
+        sizes = graphs.graph_nodes
+    else:
+        for g in graphs:
+            _check_compatible(g, config)
+        sizes = [g.n_nodes for g in graphs]
     parts = []
-    for chunk in chunked(graphs, lambda g: g.n_nodes):
-        batch = nn.make_batch(chunk, config.label_encoding)
+    for chunk in chunked(range(len(sizes)), sizes.__getitem__):
+        batch = nn.make_batch(graphs, config.label_encoding, chunk)
         cache = nn.full_forward(params, batch, config.msg_mode)
         class_probs = nn.softmax(cache.class_logits)
         parts.append((

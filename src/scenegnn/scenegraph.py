@@ -141,11 +141,3 @@ def normalize_edge_features(edge_features: np.ndarray) -> np.ndarray:
         out[:, 5] = np.sign(r) * np.log1p(np.abs(r))
     return out
 
-
-def onehot_node_features(graph: SceneGraph) -> np.ndarray:
-    """Widened node features: one-hot label followed by center and size."""
-    n, nc = graph.n_nodes, graph.n_classes
-    out = np.zeros((n, nc + 4), dtype=np.float64)
-    out[np.arange(n), graph.current_labels] = 1.0
-    out[:, nc:] = graph.node_features[:, 1:]
-    return out

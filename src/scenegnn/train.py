@@ -10,7 +10,7 @@ import numpy as np
 from . import nn
 from .corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame_rng
 from .metrics import evaluate_graphs
-from .model import ModelConfig, ModelParams, init_model
+from .model import ModelConfig, ModelParams, _check_compatible, init_model
 from .scenegraph import Frame, SceneGraph, build_graph
 
 
@@ -75,9 +75,9 @@ class TrainHistory:
 
 
 def _validation_metrics(
-    graphs: list[SceneGraph], params: ModelParams, config: ModelConfig
+    graphs: nn.PackedGraphs | None, params: ModelParams, config: ModelConfig
 ) -> tuple[float, float]:
-    if not graphs:
+    if graphs is None:
         return float("nan"), float("nan")
     report = evaluate_graphs(graphs, params, config)
     return report.validity_accuracy, report.label.weighted_f1
@@ -91,11 +91,16 @@ def train(
     """Fixed-epoch Adam training; returns (final, best-validation, history).
 
     Mini-batches are whole graphs; per-graph node-mean losses are averaged
-    within each batch. Without a validation set the best checkpoint is the
-    final one.
+    within each batch. Both sets are packed once, and every batch is
+    gathered from the packed set. Without a validation set the best
+    checkpoint is the final one.
     """
     if not train_graphs:
         raise ValueError("empty training set")
+    for g in train_graphs + (val_graphs or []):
+        _check_compatible(g, config)
+    train_set = nn.PackedGraphs(train_graphs)
+    val_set = nn.PackedGraphs(val_graphs) if val_graphs else None
     rng = np.random.default_rng(derive_seed(config.seed, "train"))
     params = init_model(config, np.random.default_rng(derive_seed(config.seed, "init")))
     state = nn.AdamState.for_params(params, lr=config.lr)
@@ -108,8 +113,8 @@ def train(
         order = rng.permutation(n)
         epoch_losses, epoch_bce, epoch_ce = [], [], []
         for start in range(0, n, config.batch_size):
-            graphs = [train_graphs[i] for i in order[start: start + config.batch_size]]
-            batch = nn.make_batch(graphs, label_encoding=config.label_encoding)
+            ids = order[start: start + config.batch_size]
+            batch = nn.make_batch(train_set, config.label_encoding, ids)
             if config.ce_invalid_only:
                 batch.ce_weights = batch.node_weights * ~batch.validity_gt
             cache = nn.full_forward(params, batch, config.msg_mode)
@@ -127,7 +132,7 @@ def train(
             epoch_bce.append(bce)
             epoch_ce.append(ce)
 
-        val_acc, val_f1 = _validation_metrics(val_graphs or [], params, config)
+        val_acc, val_f1 = _validation_metrics(val_set, params, config)
         history.epochs.append(
             EpochRecord(
                 epoch=epoch,
@@ -138,11 +143,11 @@ def train(
                 val_label_f1=val_f1,
             )
         )
-        if val_graphs and val_acc >= best_acc:
+        if val_set is not None and val_acc >= best_acc:
             best_acc = val_acc
             best_params = _clone(params)
 
-    if not val_graphs:
+    if val_set is None:
         best_params = _clone(params)
     return params, best_params, history
 

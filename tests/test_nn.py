@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scenegnn import nn
 from scenegnn.geometry import BoundingBox
 from scenegnn.model import ModelConfig, init_model
-from scenegnn.scenegraph import Frame, SceneObject, build_graph
+from scenegnn.scenegraph import Frame, SceneObject, build_graph, normalize_edge_features
 
 N_CLASSES = 10
 
@@ -259,14 +260,100 @@ class TestAdam:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_non_finite_gradient_aborts(self):
-        rng = np.random.default_rng(10)
+        for bad in ("sage1.bias", "label_head.b"):
+            rng = np.random.default_rng(10)
+            params = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
+            grads = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
+            state = nn.AdamState.for_params(params)
+            nn.adam_step(params, grads, state)  # non-zero moments to protect
+            before = {n: a.copy() for n, a in nn.param_items(params)}
+            m, v = state.m.copy(), state.v.copy()
+            dict(nn.param_items(grads))[bad][0] = np.nan
+            with pytest.raises(nn.NumericalError, match=bad):
+                nn.adam_step(params, grads, state)
+            for name, arr in nn.param_items(params):
+                np.testing.assert_array_equal(arr, before[name])
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+            assert state.t == 1
+
+    def test_params_of_another_model_rejected(self):
+        rng = np.random.default_rng(11)
         params = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
-        grads = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
-        grads.sage1.bias[0] = np.nan
         state = nn.AdamState.for_params(params)
-        before = {n: a.copy() for n, a in nn.param_items(params)}
-        with pytest.raises(nn.NumericalError):
-            nn.adam_step(params, grads, state)
-        for name, arr in nn.param_items(params):
-            np.testing.assert_array_equal(arr, before[name])
+        other = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
+        with pytest.raises(ValueError):
+            nn.adam_step(other, other, state)
         assert state.t == 0
+
+
+def reference_batch(graphs, label_encoding):
+    """Per-graph loop over the raw graphs: inputs, edge means and the mean
+    adjacency built from scratch, as one batch without a store."""
+    xs, exs, srcs, dsts, wts = [], [], [], [], []
+    offset = 0
+    for g in graphs:
+        if label_encoding == "onehot":
+            x = np.zeros((g.n_nodes, g.n_classes + 4))
+            x[np.arange(g.n_nodes), g.current_labels] = 1.0
+            x[:, g.n_classes:] = g.node_features[:, 1:]
+        else:
+            x = g.node_features
+        xs.append(x)
+        exs.append(normalize_edge_features(g.edge_features))
+        srcs.append(g.edges[:, 0] + offset)
+        dsts.append(g.edges[:, 1] + offset)
+        wts.append(np.full(g.n_nodes, 1.0 / (g.n_nodes * len(graphs))))
+        offset += g.n_nodes
+    src = np.concatenate(srcs)
+    order = np.argsort(src, kind="stable")
+    deg = np.bincount(src, minlength=offset)
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    weights = (1.0 / np.maximum(deg, 1.0))[src[order]]
+    adj = sp.csr_matrix((weights, np.concatenate(dsts)[order], indptr), shape=(offset, offset))
+    edge_agg = sp.csr_matrix((weights, order, indptr), shape=(offset, src.shape[0]))
+    return nn.GraphBatch(
+        x=np.concatenate(xs),
+        adj=adj,
+        edge_mean=edge_agg @ np.concatenate(exs),
+        validity_gt=np.concatenate([g.validity for g in graphs]),
+        label_gt=np.concatenate([g.original_labels for g in graphs]),
+        node_weights=np.concatenate(wts),
+    )
+
+
+def assert_batches_identical(a, b):
+    for name in ("x", "edge_mean", "validity_gt", "label_gt", "node_weights"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(a.adj, name), getattr(b.adj, name), err_msg=name)
+    assert a.adj.shape == b.adj.shape
+
+
+class TestPackedBatch:
+    @pytest.mark.parametrize("label_encoding", ["scalar", "onehot"])
+    def test_gathered_batch_equals_batch_of_those_graphs(self, label_encoding, monkeypatch):
+        # small packing steps, so the store spans many of them and sums edge
+        # means both with bincount (up to 20 edges) and with sparse products
+        monkeypatch.setattr(nn, "PACK_CHUNK_EDGES", 40)
+        monkeypatch.setattr(nn, "BINCOUNT_MAX_EDGES", 20)
+        rng = np.random.default_rng(13)
+        graphs = [random_graph(int(n), rng) for n in rng.integers(2, 9, 30)]
+        graphs[4] = random_graph(1, rng)
+        perm = rng.permutation(graphs[7].n_edges)  # edges not sorted by source
+        graphs[7].edges = graphs[7].edges[perm]
+        graphs[7].edge_features = graphs[7].edge_features[perm]
+        store = nn.PackedGraphs(graphs)
+        subsets = [rng.choice(len(graphs), size=int(k), replace=False) for k in (1, 5, 16, 30)]
+        subsets += [[4], [7, 4], [3, 3], list(range(len(graphs)))]
+        for ids in subsets:
+            chosen = [graphs[i] for i in ids]
+            expected = reference_batch(chosen, label_encoding)
+            assert_batches_identical(nn.make_batch(store, label_encoding, ids), expected)
+            assert_batches_identical(nn.make_batch(chosen, label_encoding), expected)
+
+    def test_graphs_of_different_class_counts_rejected(self):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="n_classes"):
+            nn.PackedGraphs([random_graph(3, rng), random_graph(3, rng, n_classes=6)])

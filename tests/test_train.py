@@ -8,7 +8,7 @@ import pytest
 from scenegnn import nn
 from scenegnn.corrupt import derive_seed
 from scenegnn.geometry import BoundingBox
-from scenegnn.model import ModelConfig, init_model
+from scenegnn.model import ConfigMismatchError, ModelConfig, init_model
 from scenegnn.scenegraph import Frame, SceneObject
 from scenegnn.train import build_dataset, split_dataset, train
 
@@ -139,6 +139,15 @@ class TestTrain:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             train([], self._small_config())
+
+    def test_graphs_of_another_class_count_rejected(self):
+        cfg = self._small_config()
+        graphs = build_dataset(_frames(6), cfg, seed=0)
+        other = build_dataset(_frames(6), self._small_config(n_classes=10), seed=0)
+        with pytest.raises(ConfigMismatchError, match="n_classes=10"):
+            train(other, cfg)
+        with pytest.raises(ConfigMismatchError, match="n_classes=10"):
+            train(graphs, cfg, other)
 
     def test_no_split_leakage_into_corruption(self):
         # corruption is applied after splitting: the test frames' graphs are
