@@ -10,7 +10,7 @@ import numpy as np
 from .corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame_rng
 from .metrics import Detection
 from .model import ModelConfig, ModelParams, chunked, predict
-from .scenegraph import Frame, SceneObject, build_graph
+from .scenegraph import Frame, SceneObject, build_graph, check_k
 
 
 @dataclass(slots=True)
@@ -38,8 +38,10 @@ def correct_detections(
     Consecutive frames are built into graphs and predicted one chunk at a
     time, so graphs and network activations are held for one chunk only.
     """
-    k = config.k if k is None else k
+    k = config.k if k is None else check_k(k)
     tau = config.validity_threshold if tau is None else tau
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
 
     by_frame: dict[str, list[tuple[int, Detection]]] = defaultdict(list)
     for idx, det in enumerate(detections):

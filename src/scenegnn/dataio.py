@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,9 @@ def _parse_bbox(raw, line_no: int) -> BoundingBox:
         raise FramesFileError(f"line {line_no}: invalid bbox: {exc}") from exc
 
 
-def parse_frames(path: str, strict: bool = False) -> FrameDataset:
-    """Read a frames JSONL file (header record first); errors carry line numbers."""
-    records: list[FrameRecord] = []
-    n_classes: int | None = None
-    seen_ids: set[str] = set()
+def _json_records(path: str) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file; a line
+    that is not a JSON object is an error that names it."""
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -77,26 +76,40 @@ def parse_frames(path: str, strict: bool = False) -> FrameDataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FramesFileError(f"line {line_no}: malformed JSON: {exc}") from exc
-            if line_no == 1:
-                if not isinstance(obj, dict) or "n_classes" not in obj:
-                    raise FramesFileError("line 1: missing header {n_classes, format_version}")
-                if obj.get("format_version") != FRAMES_FORMAT_VERSION:
-                    raise FramesFileError(
-                        f"line 1: unsupported format_version {obj.get('format_version')!r}"
-                    )
+            if not isinstance(obj, dict):
+                raise FramesFileError(f"line {line_no}: expected a JSON object")
+            yield line_no, obj
+
+
+def parse_frames(path: str, strict: bool = False) -> FrameDataset:
+    """Read a frames JSONL file (header record first); errors carry line numbers."""
+    records: list[FrameRecord] = []
+    n_classes: int | None = None
+    seen_ids: set[str] = set()
+    for line_no, obj in _json_records(path):
+        if line_no == 1:
+            if "n_classes" not in obj:
+                raise FramesFileError("line 1: missing header {n_classes, format_version}")
+            if obj.get("format_version") != FRAMES_FORMAT_VERSION:
+                raise FramesFileError(
+                    f"line 1: unsupported format_version {obj.get('format_version')!r}"
+                )
+            try:
                 n_classes = int(obj["n_classes"])
-                if n_classes < 2:
-                    raise FramesFileError("line 1: n_classes must be >= 2")
-                continue
-            records.append(_parse_frame_line(obj, line_no, n_classes, strict, seen_ids))
+            except (TypeError, ValueError) as exc:
+                raise FramesFileError(f"line 1: bad n_classes: {exc}") from exc
+            if n_classes < 2:
+                raise FramesFileError("line 1: n_classes must be >= 2")
+            continue
+        if n_classes is None:
+            raise FramesFileError(f"line {line_no}: missing header on line 1")
+        records.append(_parse_frame_line(obj, line_no, n_classes, strict, seen_ids))
     if n_classes is None:
         raise FramesFileError("empty file: missing header record")
     return FrameDataset(n_classes=n_classes, records=records)
 
 
 def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
-    if not isinstance(obj, dict):
-        raise FramesFileError(f"line {line_no}: expected a JSON object")
     if strict:
         extra = set(obj) - _FRAME_KEYS
         if extra:
@@ -106,6 +119,8 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
         raw_objects = obj["objects"]
     except KeyError as exc:
         raise FramesFileError(f"line {line_no}: missing field {exc}") from exc
+    if not isinstance(raw_objects, list):
+        raise FramesFileError(f"line {line_no}: objects must be a list")
     if frame_id in seen_ids:
         raise FramesFileError(f"line {line_no}: duplicate frame_id {frame_id!r}")
     seen_ids.add(frame_id)
@@ -115,6 +130,8 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
     original: list[int] = []
     has_validity = False
     for o in raw_objects:
+        if not isinstance(o, dict):
+            raise FramesFileError(f"line {line_no}: each object must be a JSON object")
         if strict:
             extra = set(o) - _OBJECT_KEYS
             if extra:
@@ -132,7 +149,10 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
         if "validity" in o or "original_label" in o:
             has_validity = True
         validity.append(bool(o.get("validity", True)))
-        orig = int(o.get("original_label", class_id))
+        try:
+            orig = int(o.get("original_label", class_id))
+        except (TypeError, ValueError) as exc:
+            raise FramesFileError(f"line {line_no}: bad original_label: {exc}") from exc
         if not 0 <= orig < n_classes:
             raise FramesFileError(f"line {line_no}: original_label {orig} out of range")
         original.append(orig)
@@ -175,35 +195,28 @@ def parse_detections(
     """Read a detections JSONL file; with ``n_classes``, a class_id outside
     [0, n_classes) is an error that names its line."""
     detections: list[Detection] = []
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FramesFileError(f"line {line_no}: malformed JSON: {exc}") from exc
-            if strict:
-                extra = set(obj) - _DETECTION_KEYS
-                if extra:
-                    raise FramesFileError(f"line {line_no}: unknown fields {sorted(extra)}")
-            try:
-                det = Detection(
-                    frame_id=str(obj["frame_id"]),
-                    class_id=int(obj["class_id"]),
-                    bbox=_parse_bbox(obj.get("bbox"), line_no),
-                    confidence=float(obj["confidence"]),
-                )
-            except KeyError as exc:
-                raise FramesFileError(f"line {line_no}: missing field {exc}") from exc
-            except ValueError as exc:
-                raise FramesFileError(f"line {line_no}: {exc}") from exc
-            if n_classes is not None and not 0 <= det.class_id < n_classes:
-                raise FramesFileError(
-                    f"line {line_no}: class_id {det.class_id} out of range [0, {n_classes})"
-                )
-            detections.append(det)
+    for line_no, obj in _json_records(path):
+        if strict:
+            extra = set(obj) - _DETECTION_KEYS
+            if extra:
+                raise FramesFileError(f"line {line_no}: unknown fields {sorted(extra)}")
+        bbox = _parse_bbox(obj.get("bbox"), line_no)
+        try:
+            det = Detection(
+                frame_id=str(obj["frame_id"]),
+                class_id=int(obj["class_id"]),
+                bbox=bbox,
+                confidence=float(obj["confidence"]),
+            )
+        except KeyError as exc:
+            raise FramesFileError(f"line {line_no}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FramesFileError(f"line {line_no}: {exc}") from exc
+        if n_classes is not None and not 0 <= det.class_id < n_classes:
+            raise FramesFileError(
+                f"line {line_no}: class_id {det.class_id} out of range [0, {n_classes})"
+            )
+        detections.append(det)
     return detections
 
 

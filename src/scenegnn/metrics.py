@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import BoundingBox, iou
-from .scenegraph import Frame
+from .model import ModelConfig, predict
+from .nn import ModelParams, PackedGraphs
+from .scenegraph import Frame, SceneGraph
 
 
 @dataclass(frozen=True)
@@ -193,20 +195,18 @@ class EvalReport:
         return out
 
 
-def evaluate_graphs(graphs, params, config) -> EvalReport:
+def evaluate_graphs(
+    graphs: list[SceneGraph] | PackedGraphs, params: ModelParams, config: ModelConfig
+) -> EvalReport:
     """Node-level report over a set of graphs with validity ground truth.
 
     Label metrics follow the predicted-invalid mask: corrected labels are
     scored against original labels for nodes the model flags as invalid.
     """
-    from .model import predict  # local import keeps module load order flat
-    from .nn import PackedGraphs
-
-    if not isinstance(graphs, PackedGraphs):
-        graphs = PackedGraphs(graphs)
-    p = predict(graphs, params, config)
-    gt_valid = graphs.validity
-    lm = label_metrics(p.corrected_label, graphs.original_labels, p.is_invalid, config.n_classes)
+    store = graphs if isinstance(graphs, PackedGraphs) else PackedGraphs(graphs)
+    p = predict(store, params, config)
+    gt_valid = store.validity
+    lm = label_metrics(p.corrected_label, store.original_labels, p.is_invalid, config.n_classes)
     return EvalReport(
         validity_accuracy=validity_accuracy(~p.is_invalid, gt_valid),
         label=lm,

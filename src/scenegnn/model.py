@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nn
 from .nn import ModelParams, PARAM_FIELDS, param_items
-from .scenegraph import ALL_NEIGHBORS, SceneGraph
+from .scenegraph import SceneGraph, check_k
 
 CHECKPOINT_MAGIC = b"#scenegnn-checkpoint\n"
 CHECKPOINT_VERSION = 1
@@ -75,10 +75,7 @@ class ModelConfig:
             raise ValueError(f"unknown label_encoding {self.label_encoding!r}")
         if self.msg_mode not in (nn.MSG_NODES, nn.MSG_NODES_EDGES):
             raise ValueError(f"unknown msg_mode {self.msg_mode!r}")
-        if self.k != ALL_NEIGHBORS:
-            self.k = int(self.k)
-            if self.k < 1:
-                raise ValueError("k must be >= 1 or 'all'")
+        self.k = check_k(self.k)
 
     @property
     def input_dim(self) -> int:
@@ -93,10 +90,10 @@ def init_model(config: ModelConfig, rng: np.random.Generator | None = None) -> M
     )
 
 
-def _check_compatible(graph: SceneGraph | nn.PackedGraphs, config: ModelConfig) -> None:
-    if graph.n_classes != config.n_classes:
+def _check_compatible(store: nn.PackedGraphs, config: ModelConfig) -> None:
+    if store.n_classes != config.n_classes:
         raise ConfigMismatchError(
-            f"graph built with n_classes={graph.n_classes}, "
+            f"graphs built with n_classes={store.n_classes}, "
             f"model expects {config.n_classes}"
         )
 
@@ -130,23 +127,16 @@ def predict(
     """Flags, corrected labels and confidences for every node of ``graphs``,
     concatenated in graph order.
 
-    The network runs on batches of whole graphs capped at
-    PREDICT_CHUNK_NODES nodes, and each batch is reduced to per-node values
-    before the next, so the N x C class probabilities of a large input are
-    never held at once.
+    A list is packed once. The network runs on batches of whole graphs
+    capped at PREDICT_CHUNK_NODES nodes, and each batch is reduced to
+    per-node values before the next, so the N x C class probabilities of a
+    large input are never held at once.
     """
-    if not len(graphs):
-        raise ValueError("predict needs at least one graph")
-    if isinstance(graphs, nn.PackedGraphs):
-        _check_compatible(graphs, config)
-        sizes = graphs.graph_nodes
-    else:
-        for g in graphs:
-            _check_compatible(g, config)
-        sizes = [g.n_nodes for g in graphs]
+    store = graphs if isinstance(graphs, nn.PackedGraphs) else nn.PackedGraphs(graphs)
+    _check_compatible(store, config)
     parts = []
-    for chunk in chunked(range(len(sizes)), sizes.__getitem__):
-        batch = nn.make_batch(graphs, config.label_encoding, chunk)
+    for chunk in chunked(range(len(store)), store.graph_nodes.__getitem__):
+        batch = nn.make_batch(store, config.label_encoding, chunk)
         cache = nn.full_forward(params, batch, config.msg_mode)
         class_probs = nn.softmax(cache.class_logits)
         parts.append((

@@ -2,8 +2,9 @@
 hand-written reverse-mode gradients and Adam. float64 throughout.
 
 No ML framework. Mean aggregation is one scipy.sparse matrix per batch, the
-row-normalised adjacency of the batch's disjoint union of graphs. Batches are
-gathered from a PackedGraphs store, which training builds once per data set.
+row-normalised adjacency of the batch's disjoint union of graphs. Every batch
+is gathered from a PackedGraphs store: training packs each data set once,
+predict packs its list once, and make_batch packs a list it is given.
 """
 
 from __future__ import annotations
@@ -130,16 +131,6 @@ class GraphBatch:
         return self.x.shape[0]
 
 
-# Edge cap of one packing step, so packing a whole training set holds only a
-# small slice of its normalised edge features at once.
-PACK_CHUNK_EDGES = 4096
-# Up to this many edges a packing step sums edge means with bincount, and
-# above it with a sparse matrix product. On one core, bincount takes 14 us
-# for a 9-detection frame (54 edges) against 43 us for building and applying
-# the sparse matrix, and 196 us against 96 us at 4,554 edges.
-BINCOUNT_MAX_EDGES = 1024
-
-
 def _row_means(deg: np.ndarray, columns: np.ndarray, n_columns: int) -> sp.csr_matrix:
     """Sparse matrix whose row i holds 1/deg[i] at each of its deg[i] entries
     of ``columns`` (int32, rows in order), so that it averages them."""
@@ -150,8 +141,8 @@ def _row_means(deg: np.ndarray, columns: np.ndarray, n_columns: int) -> sp.csr_m
 
 
 class PackedGraphs:
-    """Compact store of a list of graphs, from which make_batch gathers a
-    batch of any of them without rebuilding per-graph inputs.
+    """Compact store of a list of graphs, the one form in which the network
+    reads graphs: make_batch gathers a batch of any of them.
 
     Per node it holds the node features, current label, targets, degree and
     the mean normalised feature of the node's out-edges; per edge, the
@@ -179,40 +170,17 @@ class PackedGraphs:
         self.degree = np.empty(n, dtype=np.int32)
         self.neighbour = np.empty(e, dtype=np.int32)  # int32 indices skip scipy's range scan
         self.edge_mean = np.empty((n, 6))
-        first = 0
-        while first < len(graphs):
-            stop = len(graphs)
-            if self.edge_start[stop] - self.edge_start[first] > PACK_CHUNK_EDGES:
-                limit = self.edge_start[first] + PACK_CHUNK_EDGES
-                stop = max(first + 1, int(np.searchsorted(self.edge_start, limit, "right")) - 1)
-            self._pack_edges(graphs[first:stop], first)
-            first = stop
-
-    def _pack_edges(self, graphs: list[SceneGraph], first: int) -> None:
-        """Edge arrays and edge means of consecutive graphs from ``first``.
-
-        Each row of edge_mean adds the same products in the same order as a
-        mean over the node's out-edges in edge order, whatever else shares
-        the batch.
-        """
-        n0, n1 = int(self.node_start[first]), int(self.node_start[first + len(graphs)])
-        e0, e1 = int(self.edge_start[first]), int(self.edge_start[first + len(graphs)])
-        offsets = self.node_start[first: first + len(graphs)]
-        src = np.concatenate([g.edges[:, 0] + (o - n0) for g, o in zip(graphs, offsets)])
-        dst = np.concatenate([g.edges[:, 1] + o for g, o in zip(graphs, offsets)])
-        order = np.argsort(src, kind="stable")
-        deg = np.bincount(src, minlength=n1 - n0)
-        edge_x = np.concatenate([normalize_edge_features(g.edge_features) for g in graphs])
-        if e1 - e0 <= BINCOUNT_MAX_EDGES:
-            # bincount adds each row's terms in edge order, as the product does
-            terms = (1.0 / np.maximum(deg, 1.0))[src][:, None] * edge_x
+        for g, n0, e0 in zip(graphs, self.node_start.tolist(), self.edge_start.tolist()):
+            src, nodes = g.edges[:, 0], slice(n0, n0 + g.n_nodes)
+            deg = np.bincount(src, minlength=g.n_nodes)
+            # bincount adds each row's terms in edge order, as a loop over out-edges does
+            edge_x = normalize_edge_features(g.edge_features)
+            terms = (1.0 / np.maximum(deg, 1.0))[src, None] * edge_x
             cells = (src * 6)[:, None] + np.arange(6)
-            mean = np.bincount(cells.ravel(), terms.ravel(), minlength=(n1 - n0) * 6)
-            self.edge_mean[n0:n1] = mean.reshape(n1 - n0, 6)
-        else:
-            self.edge_mean[n0:n1] = _row_means(deg, order.astype(np.int32), e1 - e0) @ edge_x
-        self.degree[n0:n1] = deg
-        self.neighbour[e0:e1] = dst[order]
+            mean = np.bincount(cells.ravel(), terms.ravel(), minlength=g.n_nodes * 6)
+            self.edge_mean[nodes] = mean.reshape(g.n_nodes, 6)
+            self.degree[nodes] = deg
+            self.neighbour[e0: e0 + g.n_edges] = g.edges[np.argsort(src, kind="stable"), 1] + n0
 
     def __len__(self) -> int:
         return self.graph_nodes.shape[0]
@@ -232,22 +200,16 @@ def make_batch(
     adds the same products in the same order as a mean over gathered
     per-edge messages.
     """
-    if isinstance(graphs, PackedGraphs):
-        store = graphs
-        ids = np.arange(len(store)) if ids is None else np.asarray(ids, dtype=np.int64)
-        sizes = store.graph_nodes[ids]
-        n_edges = store.edge_start[ids + 1] - store.edge_start[ids]
-        n, e = int(sizes.sum()), int(n_edges.sum())
-        node_shift = store.node_start[ids] - (np.cumsum(sizes) - sizes)
-        node = np.repeat(node_shift, sizes) + np.arange(n)
-        edge = np.repeat(store.edge_start[ids] - (np.cumsum(n_edges) - n_edges), n_edges)
-        edge += np.arange(e)
-        indices = (store.neighbour[edge] - np.repeat(node_shift, n_edges)).astype(np.int32)
-    else:  # a fresh store of just these graphs: take every row as it is
-        store = PackedGraphs(graphs if ids is None else [graphs[i] for i in ids])
-        sizes, n = store.graph_nodes, int(store.node_start[-1])
-        node = slice(None)
-        indices = store.neighbour
+    store = graphs if isinstance(graphs, PackedGraphs) else PackedGraphs(graphs)
+    ids = np.arange(len(store)) if ids is None else np.asarray(ids, dtype=np.int64)
+    sizes = store.graph_nodes[ids]
+    n_edges = store.edge_start[ids + 1] - store.edge_start[ids]
+    n, e = int(sizes.sum()), int(n_edges.sum())
+    node_shift = store.node_start[ids] - (np.cumsum(sizes) - sizes)
+    node = np.repeat(node_shift, sizes) + np.arange(n)
+    edge = np.repeat(store.edge_start[ids] - (np.cumsum(n_edges) - n_edges), n_edges)
+    edge += np.arange(e)
+    indices = (store.neighbour[edge] - np.repeat(node_shift, n_edges)).astype(np.int32)
     adj = _row_means(store.degree[node], indices, n)
     if label_encoding == "onehot":
         nc = store.n_classes

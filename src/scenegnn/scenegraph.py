@@ -63,25 +63,32 @@ def build_node_features(obj: SceneObject, n_classes: int) -> np.ndarray:
     )
 
 
+def check_k(k: KOrAll) -> KOrAll:
+    """``k`` as a neighbourhood size: "all", or an int of at least 1."""
+    if k == ALL_NEIGHBORS:
+        return k
+    if int(k) < 1:
+        raise ValueError(f"k must be >= 1 or 'all', got {k}")
+    return int(k)
+
+
 def knn_edges(objects: list[SceneObject] | tuple[SceneObject, ...], k: KOrAll) -> np.ndarray:
     """Directed k-NN edges over object centers, symmetrized by union of reverses.
 
     Ties in distance break toward the lower node index. k = "all" yields
-    every ordered pair.
+    every ordered pair; k < 1 is an error.
     """
     n = len(objects)
     if n == 0:
         raise ValueError("empty object list")
+    k = check_k(k)
     if n == 1:
         return np.zeros((0, 2), dtype=np.int64)
     centers = np.array([o.bbox.center for o in objects], dtype=np.float64)
     diff = centers[:, None, :] - centers[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
 
-    if k == ALL_NEIGHBORS:
-        kk = n - 1
-    else:
-        kk = min(int(k), n - 1)
+    kk = n - 1 if k == ALL_NEIGHBORS else min(k, n - 1)
 
     edge_set: set[tuple[int, int]] = set()
     idx = np.arange(n)
@@ -131,13 +138,12 @@ def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
 def normalize_edge_features(edge_features: np.ndarray) -> np.ndarray:
     """Scale raw edge features before they enter a learned layer.
 
-    Angle is mapped to (-1, 1] and the unbounded size ratio is squashed with
-    a sign-preserving log1p; the other components are already within [-1, sqrt(2)].
+    Angle is mapped to (-1, 1] and the unbounded, never negative size ratio
+    is squashed with log1p; the other components are already within
+    [-1, sqrt(2)]. The input is not modified.
     """
     out = edge_features.copy()
-    if out.shape[0]:
-        out[:, 3] /= 180.0
-        r = out[:, 5]
-        out[:, 5] = np.sign(r) * np.log1p(np.abs(r))
+    out[:, 3] /= 180.0
+    np.log1p(out[:, 5], out=out[:, 5])
     return out
 

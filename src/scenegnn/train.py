@@ -97,10 +97,11 @@ def train(
     """
     if not train_graphs:
         raise ValueError("empty training set")
-    for g in train_graphs + (val_graphs or []):
-        _check_compatible(g, config)
     train_set = nn.PackedGraphs(train_graphs)
     val_set = nn.PackedGraphs(val_graphs) if val_graphs else None
+    for store in (train_set, val_set):
+        if store is not None:
+            _check_compatible(store, config)
     rng = np.random.default_rng(derive_seed(config.seed, "train"))
     params = init_model(config, np.random.default_rng(derive_seed(config.seed, "init")))
     state = nn.AdamState.for_params(params, lr=config.lr)
@@ -108,7 +109,7 @@ def train(
     best_params = _clone(params)
     best_acc = -1.0
 
-    n = len(train_graphs)
+    n = len(train_set)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_losses, epoch_bce, epoch_ce = [], [], []

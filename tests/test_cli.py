@@ -69,6 +69,24 @@ class TestUsageErrors:
         assert "line 1" in err
 
 
+    @pytest.mark.parametrize("command", ["map", "corrupt"])
+    def test_record_that_is_not_an_object_exits_1(self, capsys, tmp_path, command):
+        gt_path = str(tmp_path / "gt.jsonl")
+        _small_gt(gt_path)
+        bad = tmp_path / "bad.jsonl"
+        if command == "map":
+            bad.write_text("[1, 2]\n")
+            argv = ["map", "--detections", str(bad), "--gt", gt_path]
+        else:
+            bad.write_text(
+                '{"n_classes": 3, "format_version": 1}\n{"frame_id": "a", "objects": 5}\n'
+            )
+            argv = ["corrupt", "--data", str(bad), "--out", str(tmp_path / "o")]
+        code, _, err = _run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert "line" in err and "internal error" not in err
+
+
 class TestCorrectCommand:
     def test_class_id_out_of_range_names_line(self, capsys, tmp_path):
         config = ModelConfig(n_classes=39, hidden_dim=8)
@@ -88,6 +106,28 @@ class TestCorrectCommand:
         )
         assert code == EXIT_INPUT
         assert "line 2" in err and "class_id 45" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--k", "0", "k must be >= 1"), ("--tau", "1.5", "tau must be in")],
+    )
+    def test_bad_k_or_tau_override_exits_1(self, capsys, tmp_path, flag, value, message):
+        config = ModelConfig(n_classes=3, hidden_dim=8)
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(init_model(config), config, ckpt)
+        frames = _small_gt(str(tmp_path / "gt.jsonl"))
+        det_path = str(tmp_path / "dets.jsonl")
+        dets = [Detection(f.frame_id, o.label_id, o.bbox, 0.9) for f in frames for o in f.objects]
+        write_detections(det_path, dets)
+        out_path = tmp_path / "fixed.jsonl"
+        code, _, err = _run(
+            capsys,
+            ["correct", "--detections", det_path, "--checkpoint", ckpt,
+             "--out", str(out_path), flag, value],
+        )
+        assert code == EXIT_INPUT
+        assert message in err
+        assert not out_path.exists()
 
 
 class TestMapCommand:

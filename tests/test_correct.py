@@ -104,6 +104,11 @@ class TestCorrectDetections:
         assert out[0] == solo
         assert records[0].note == "single-detection frame, passthrough"
         assert not records[0].applied
+        # overrides are checked even when no graph is built
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            correct_detections([solo], params, config, k=0)
+        with pytest.raises(ValueError, match="tau must be in"):
+            correct_detections([solo], params, config, tau=-0.5)
 
     def test_record_counts_match_detections(self):
         config = ModelConfig(n_classes=6, hidden_dim=8)

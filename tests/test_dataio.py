@@ -162,6 +162,39 @@ class TestFramesValidation:
         with pytest.raises(FramesFileError, match="unknown object fields"):
             parse_frames(path, strict=True)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("5", "line 2: expected a JSON object"),
+            ("[1, 2]", "line 2: expected a JSON object"),
+            ('{"frame_id": "a", "objects": 5}', "line 2: objects must be a list"),
+            ('{"frame_id": "a", "objects": {"class_id": 0}}', "line 2: objects must be a list"),
+            ('{"frame_id": "a", "objects": [7]}', "line 2: each object must be a JSON object"),
+            (
+                '{"frame_id": "a", "objects": [{"class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2],'
+                ' "original_label": [1]}]}',
+                "line 2: bad original_label",
+            ),
+        ],
+        ids=["number", "list", "objects-number", "objects-dict", "object-number", "label-list"],
+    )
+    def test_malformed_frame_records_report_line(self, tmp_path, line, message):
+        path = self._write(tmp_path, ['{"n_classes": 3, "format_version": 1}', line])
+        with pytest.raises(FramesFileError, match=message):
+            parse_frames(path)
+
+    @pytest.mark.parametrize("n_classes", ['"x"', "[3]", "null"])
+    def test_bad_header_n_classes_reports_line_1(self, tmp_path, n_classes):
+        path = self._write(tmp_path, [f'{{"n_classes": {n_classes}, "format_version": 1}}'])
+        with pytest.raises(FramesFileError, match="line 1: bad n_classes"):
+            parse_frames(path)
+
+    def test_frame_before_header_reported(self, tmp_path):
+        row = '{"frame_id": "a", "objects": [{"class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2]}]}'
+        path = self._write(tmp_path, ["", row])
+        with pytest.raises(FramesFileError, match="line 2: missing header on line 1"):
+            parse_frames(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = self._write(
             tmp_path,
@@ -201,3 +234,26 @@ class TestAtomicWrite:
             atomic_write_text(path, json.dumps({"bad": object()}))
         with open(path) as f:
             assert f.read() == "original\n"
+
+
+class TestDetectionsValidation:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("5", "line 2: expected a JSON object"),
+            ("[1, 2]", "line 2: expected a JSON object"),
+            ('{"frame_id": "f", "class_id": [1], "bbox": [0.1, 0.1, 0.2, 0.2],'
+             ' "confidence": 0.9}', "line 2: "),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1, 0.2, 0.2],'
+             ' "confidence": null}', "line 2: "),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1], "confidence": 0.9}',
+             "^line 2: bbox must be"),
+        ],
+        ids=["number", "list", "class-id-list", "confidence-null", "short-bbox"],
+    )
+    def test_malformed_records_report_line(self, tmp_path, line, message):
+        path = tmp_path / "d.jsonl"
+        good = '{"frame_id": "f", "class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2], "confidence": 0.9}'
+        path.write_text(good + "\n" + line + "\n")
+        with pytest.raises(FramesFileError, match=message):
+            parse_detections(str(path))

@@ -6,8 +6,14 @@ import scipy.sparse as sp
 
 from scenegnn import nn
 from scenegnn.geometry import BoundingBox
-from scenegnn.model import ModelConfig, init_model
-from scenegnn.scenegraph import Frame, SceneObject, build_graph, normalize_edge_features
+from scenegnn.model import PREDICT_CHUNK_NODES, ModelConfig, init_model
+from scenegnn.scenegraph import (
+    ALL_NEIGHBORS,
+    Frame,
+    SceneObject,
+    build_graph,
+    normalize_edge_features,
+)
 
 N_CLASSES = 10
 
@@ -333,20 +339,18 @@ def assert_batches_identical(a, b):
 
 class TestPackedBatch:
     @pytest.mark.parametrize("label_encoding", ["scalar", "onehot"])
-    def test_gathered_batch_equals_batch_of_those_graphs(self, label_encoding, monkeypatch):
-        # small packing steps, so the store spans many of them and sums edge
-        # means both with bincount (up to 20 edges) and with sparse products
-        monkeypatch.setattr(nn, "PACK_CHUNK_EDGES", 40)
-        monkeypatch.setattr(nn, "BINCOUNT_MAX_EDGES", 20)
+    def test_gathered_batch_equals_batch_of_those_graphs(self, label_encoding):
         rng = np.random.default_rng(13)
         graphs = [random_graph(int(n), rng) for n in rng.integers(2, 9, 30)]
         graphs[4] = random_graph(1, rng)
         perm = rng.permutation(graphs[7].n_edges)  # edges not sorted by source
         graphs[7].edges = graphs[7].edges[perm]
         graphs[7].edge_features = graphs[7].edge_features[perm]
+        # a complete graph over predict's chunk cap, as dense correction packs
+        graphs[9] = random_graph(PREDICT_CHUNK_NODES + 6, rng, k=ALL_NEIGHBORS)
         store = nn.PackedGraphs(graphs)
         subsets = [rng.choice(len(graphs), size=int(k), replace=False) for k in (1, 5, 16, 30)]
-        subsets += [[4], [7, 4], [3, 3], list(range(len(graphs)))]
+        subsets += [[4], [7, 4], [3, 3], [9], [4, 9, 7], list(range(len(graphs)))]
         for ids in subsets:
             chosen = [graphs[i] for i in ids]
             expected = reference_batch(chosen, label_encoding)

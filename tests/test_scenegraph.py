@@ -96,6 +96,14 @@ class TestKnnEdges:
         objs = [point_obj(i, 0.1 * (i + 1), 0.2 * (i + 1) % 1) for i in range(5)]
         assert np.array_equal(knn_edges(objs, ALL_NEIGHBORS), knn_edges(objs, 4))
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        objs = [point_obj(i, 0.1 * (i + 1), 0.15 * (i + 1)) for i in range(6)]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            knn_edges(objs, k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            knn_edges(objs[:1], k)
+
     @given(frames())
     @settings(max_examples=50)
     def test_symmetrized(self, frame):
@@ -191,3 +199,17 @@ class TestNormalization:
         assert out[0, :3] == pytest.approx([0.5, -0.5, 0.7])
         # raw input not mutated
         assert raw[0, 3] == 180.0
+
+    def test_equals_sign_preserving_log1p_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        objs = [
+            obj(0, x0, y0, x0 + w, y0 + h)
+            for x0, y0, w, h in rng.uniform([0, 0, 0, 0], [0.8, 0.8, 0.2, 0.2], (12, 4))
+        ]
+        objs.append(obj(0, 0.4, 0.4, 0.4, 0.6))  # zero area: the ratio hits its cap
+        raw = build_graph(Frame("f", tuple(objs)), ALL_NEIGHBORS, 2).edge_features
+        expected = raw.copy()
+        expected[:, 3] /= 180.0
+        expected[:, 5] = np.sign(raw[:, 5]) * np.log1p(np.abs(raw[:, 5]))
+        assert np.array_equal(normalize_edge_features(raw), expected)
+        assert normalize_edge_features(np.zeros((0, 6))).shape == (0, 6)
