@@ -64,6 +64,19 @@ def _parse_bbox(raw, line_no: int) -> BoundingBox:
         raise FramesFileError(f"line {line_no}: invalid bbox: {exc}") from exc
 
 
+def _json_int(record: dict, key: str, line_no: int, default: int | None = None) -> int:
+    """``record[key]`` as an int: a JSON integer or an integral number, never a
+    bool or a string. A missing key gives ``default`` when there is one."""
+    value = record.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if key not in record:
+        raise FramesFileError(f"line {line_no}: missing field {key!r}")
+    raise FramesFileError(f"line {line_no}: bad {key}: expected an integer, got {value!r}")
+
+
 def _json_records(path: str) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSONL file; a line
     that is not a JSON object is an error that names it."""
@@ -136,10 +149,7 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
             extra = set(o) - _OBJECT_KEYS
             if extra:
                 raise FramesFileError(f"line {line_no}: unknown object fields {sorted(extra)}")
-        try:
-            class_id = int(o["class_id"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FramesFileError(f"line {line_no}: bad class_id: {exc}") from exc
+        class_id = _json_int(o, "class_id", line_no)
         if not 0 <= class_id < n_classes:
             raise FramesFileError(
                 f"line {line_no}: class_id {class_id} out of range [0, {n_classes})"
@@ -148,11 +158,13 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
         objects.append(SceneObject(label_id=class_id, bbox=bbox))
         if "validity" in o or "original_label" in o:
             has_validity = True
-        validity.append(bool(o.get("validity", True)))
-        try:
-            orig = int(o.get("original_label", class_id))
-        except (TypeError, ValueError) as exc:
-            raise FramesFileError(f"line {line_no}: bad original_label: {exc}") from exc
+        valid = o.get("validity", True)
+        if not isinstance(valid, bool):
+            raise FramesFileError(
+                f"line {line_no}: bad validity: expected a boolean, got {valid!r}"
+            )
+        validity.append(valid)
+        orig = _json_int(o, "original_label", line_no, default=class_id)
         if not 0 <= orig < n_classes:
             raise FramesFileError(f"line {line_no}: original_label {orig} out of range")
         original.append(orig)
@@ -201,10 +213,11 @@ def parse_detections(
             if extra:
                 raise FramesFileError(f"line {line_no}: unknown fields {sorted(extra)}")
         bbox = _parse_bbox(obj.get("bbox"), line_no)
+        class_id = _json_int(obj, "class_id", line_no)
         try:
             det = Detection(
                 frame_id=str(obj["frame_id"]),
-                class_id=int(obj["class_id"]),
+                class_id=class_id,
                 bbox=bbox,
                 confidence=float(obj["confidence"]),
             )

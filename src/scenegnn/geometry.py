@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Ratio reported when the reference box has zero area; keeps features finite.
+# Largest size ratio reported, also when the reference box has zero area or
+# so little that the ratio overflows; keeps features finite.
 SIZE_RATIO_CAP = 1e6
 
 
@@ -86,6 +87,8 @@ class EdgeGeometry:
 def pairwise_geometry(a: BoundingBox, b: BoundingBox) -> EdgeGeometry:
     """Displacement, distance, angle (degrees), IoU and area ratio from a to b.
 
+    The area ratio b/a is capped at SIZE_RATIO_CAP.
+
     theta is atan2(dy, dx) in degrees mapped into (-180, 180]; atan2(0, 0)
     is taken as 0 for coincident centers.
     """
@@ -101,8 +104,5 @@ def pairwise_geometry(a: BoundingBox, b: BoundingBox) -> EdgeGeometry:
         if theta <= -180.0:
             theta += 360.0
     area_a = a.area
-    if area_a <= 0.0:
-        ratio = SIZE_RATIO_CAP
-    else:
-        ratio = b.area / area_a
+    ratio = min(b.area / area_a, SIZE_RATIO_CAP) if area_a > 0.0 else SIZE_RATIO_CAP
     return EdgeGeometry(dx, dy, dist, theta, iou(a, b), ratio)

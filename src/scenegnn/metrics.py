@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,11 +119,13 @@ def map50(
     are excluded from the mean.
     """
     gt_by_frame_class: dict[tuple[str, int], list[BoundingBox]] = defaultdict(list)
+    n_gt: Counter[int] = Counter()
     gt_frame_ids = set()
     for frame in ground_truth:
         gt_frame_ids.add(frame.frame_id)
         for obj in frame.objects:
             gt_by_frame_class[(frame.frame_id, obj.label_id)].append(obj.bbox)
+            n_gt[obj.label_id] += 1
 
     by_class: dict[int, list[tuple[float, str, int, Detection]]] = defaultdict(list)
     for order, det in enumerate(detections):
@@ -131,12 +133,8 @@ def map50(
             raise ValueError(f"detection references unknown frame {det.frame_id!r}")
         by_class[det.class_id].append((-det.confidence, det.frame_id, order, det))
 
-    gt_classes = sorted({c for (_, c) in gt_by_frame_class})
     per_class_ap: dict[int, float] = {}
-    for cls in gt_classes:
-        n_gt = sum(
-            len(boxes) for (fid, c), boxes in gt_by_frame_class.items() if c == cls
-        )
+    for cls in sorted(n_gt):
         dets = sorted(by_class.get(cls, []))
         matched: dict[str, set[int]] = defaultdict(set)
         tp = np.zeros(len(dets))
@@ -160,7 +158,7 @@ def map50(
             continue
         cum_tp = np.cumsum(tp)
         cum_fp = np.cumsum(fp)
-        recalls = cum_tp / n_gt
+        recalls = cum_tp / n_gt[cls]
         precisions = cum_tp / (cum_tp + cum_fp)
         per_class_ap[cls] = average_precision(recalls, precisions)
 

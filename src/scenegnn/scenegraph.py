@@ -1,4 +1,5 @@
-"""Per-frame spatial graphs: node features, directed k-NN edges, edge features."""
+"""Per-frame spatial graphs read from one N x 4 box array: node features,
+k-NN edges by one stable sort, and per-edge geometry."""
 
 from __future__ import annotations
 
@@ -50,19 +51,6 @@ class SceneGraph:
         return self.edges.shape[0]
 
 
-def build_node_features(obj: SceneObject, n_classes: int) -> np.ndarray:
-    """[label/(n_classes-1), x_center, y_center, w, h], all in [0, 1]."""
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
-    if not 0 <= obj.label_id < n_classes:
-        raise ValueError(f"label_id {obj.label_id} out of range for {n_classes} classes")
-    b = obj.bbox
-    cx, cy = b.center
-    return np.array(
-        [obj.label_id / (n_classes - 1), cx, cy, b.width, b.height], dtype=np.float64
-    )
-
-
 def check_k(k: KOrAll) -> KOrAll:
     """``k`` as a neighbourhood size: "all", or an int of at least 1."""
     if k == ALL_NEIGHBORS:
@@ -72,58 +60,50 @@ def check_k(k: KOrAll) -> KOrAll:
     return int(k)
 
 
-def knn_edges(objects: list[SceneObject] | tuple[SceneObject, ...], k: KOrAll) -> np.ndarray:
-    """Directed k-NN edges over object centers, symmetrized by union of reverses.
+def knn_edges(centers: np.ndarray, k: KOrAll) -> np.ndarray:
+    """Directed k-NN edges over the N x 2 ``centers``, symmetrized by union of
+    reverses and sorted by (src, dst).
 
-    Ties in distance break toward the lower node index. k = "all" yields
-    every ordered pair; k < 1 is an error.
+    One stable sort per row ranks neighbours nearest first, so ties in
+    distance break toward the lower node index. k = "all" yields every
+    ordered pair; k < 1 is an error.
     """
-    n = len(objects)
+    n = len(centers)
     if n == 0:
         raise ValueError("empty object list")
     k = check_k(k)
-    if n == 1:
-        return np.zeros((0, 2), dtype=np.int64)
-    centers = np.array([o.bbox.center for o in objects], dtype=np.float64)
     diff = centers[:, None, :] - centers[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
-
+    np.fill_diagonal(dist, np.inf)
     kk = n - 1 if k == ALL_NEIGHBORS else min(k, n - 1)
-
-    edge_set: set[tuple[int, int]] = set()
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, dist[i]))
-        picked = 0
-        for j in order:
-            if j == i:
-                continue
-            edge_set.add((i, int(j)))
-            picked += 1
-            if picked == kk:
-                break
+    linked = np.zeros((n, n), dtype=bool)
+    linked[np.arange(n)[:, None], np.argsort(dist, axis=1, kind="stable")[:, :kk]] = True
     # symmetrize: undirected neighbourhoods, direction-specific features
-    edge_set |= {(j, i) for (i, j) in edge_set}
-    edges = np.array(sorted(edge_set), dtype=np.int64)
-    return edges
+    return np.argwhere(linked | linked.T)
 
 
 def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
+    """Node features [label/(n_classes-1), x_center, y_center, w, h], k-NN
+    edges and per-edge geometry, all read from one N x 4 box array."""
     if len(frame.objects) == 0:
         raise ValueError(f"frame {frame.frame_id!r} has no objects")
-    node_features = np.stack(
-        [build_node_features(o, n_classes) for o in frame.objects]
-    )
-    edges = knn_edges(frame.objects, k)
-    boxes = tuple(o.bbox for o in frame.objects)
-    if edges.shape[0]:
-        rows = [
-            pairwise_geometry(boxes[i], boxes[j]).as_tuple() for i, j in edges
-        ]
-        edge_features = np.array(rows, dtype=np.float64)
-    else:
-        edge_features = np.zeros((0, 6), dtype=np.float64)
+    if n_classes < 2:
+        raise ValueError("n_classes must be >= 2")
     labels = np.array([o.label_id for o in frame.objects], dtype=np.int64)
+    out_of_range = labels[(labels < 0) | (labels >= n_classes)]
+    if out_of_range.size:
+        raise ValueError(f"label_id {out_of_range[0]} out of range for {n_classes} classes")
+    bboxes = [o.bbox for o in frame.objects]
+    boxes = np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in bboxes], dtype=np.float64)
+    centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
+    node_features = np.column_stack(
+        [labels / (n_classes - 1), centers, boxes[:, 2:] - boxes[:, :2]]
+    )
+    edges = knn_edges(centers, k)
+    edge_features = np.array(
+        [pairwise_geometry(bboxes[i], bboxes[j]).as_tuple() for i, j in edges.tolist()],
+        dtype=np.float64,
+    ).reshape(-1, 6)
     return SceneGraph(
         node_features=node_features,
         edges=edges,

@@ -2,7 +2,9 @@
 
 The world is a wall in [0, 1]^2 holding one anchored object per class. Each
 frame is an axis-aligned crop+zoom window onto the wall, so relative layout
-between any two classes is identical across frames.
+between any two classes is identical across frames. Views are array
+expressions over the layout's corners: one visible-fraction test per class
+and one clip of the crop boxes per sampled window.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrupt import derive_seed
-from .geometry import clamp_box
+from .geometry import BoundingBox
 from .scenegraph import Frame, SceneObject
 
 DEFAULT_GRID = 7
@@ -47,15 +49,6 @@ def gen_template(n_classes: int, seed: int, grid: int = DEFAULT_GRID) -> LayoutT
     return LayoutTemplate(anchors=anchors, sizes=sizes, n_classes=n_classes, seed=seed)
 
 
-def _visible_fraction(
-    x0: float, y0: float, x1: float, y1: float, wx0: float, wy0: float, wx1: float, wy1: float
-) -> float:
-    ix = max(0.0, min(x1, wx1) - max(x0, wx0))
-    iy = max(0.0, min(y1, wy1) - max(y0, wy0))
-    area = (x1 - x0) * (y1 - y0)
-    return (ix * iy) / area if area > 0 else 0.0
-
-
 def render_views(
     template: LayoutTemplate,
     n_frames: int,
@@ -75,37 +68,30 @@ def render_views(
     if not 1.0 <= zoom_lo <= zoom_hi:
         raise ValueError("view_jitter must satisfy 1 <= lo <= hi")
 
+    lo = template.anchors - template.sizes / 2
+    hi = template.anchors + template.sizes / 2
+    area = (hi - lo)[:, 0] * (hi - lo)[:, 1]
+    corners = np.hstack([lo, hi])
     frames: list[Frame] = []
     for i in range(n_frames):
         frame_id = f"frame_{i:05d}"
         rng = np.random.default_rng(derive_seed(seed, f"view/{frame_id}"))
-        objects = None
         for _ in range(MAX_RETRIES):
             zoom = rng.uniform(zoom_lo, zoom_hi)
             size = 1.0 / zoom
-            ox = rng.uniform(0.0, 1.0 - size)
-            oy = rng.uniform(0.0, 1.0 - size)
-            candidate: list[SceneObject] = []
-            for cls in range(template.n_classes):
-                cx, cy = template.anchors[cls]
-                w, h = template.sizes[cls]
-                x0, y0, x1, y1 = cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
-                vis = _visible_fraction(x0, y0, x1, y1, ox, oy, ox + size, oy + size)
-                if vis < MIN_VISIBLE_FRACTION:
-                    continue
-                if dropout_prob > 0.0 and rng.random() < dropout_prob:
-                    continue
-                box = clamp_box(
-                    (x0 - ox) / size, (y0 - oy) / size, (x1 - ox) / size, (y1 - oy) / size
-                )
-                candidate.append(SceneObject(label_id=cls, bbox=box))
-            if len(candidate) >= 2:
-                objects = candidate
+            origin = np.array([rng.uniform(0.0, 1.0 - size), rng.uniform(0.0, 1.0 - size)])
+            inter = np.maximum(np.minimum(hi, origin + size) - np.maximum(lo, origin), 0.0)
+            kept = np.flatnonzero(inter[:, 0] * inter[:, 1] / area >= MIN_VISIBLE_FRACTION)
+            if dropout_prob > 0.0:
+                kept = kept[rng.random(kept.size) >= dropout_prob]
+            if kept.size >= 2:
                 break
-        if objects is None:
+        else:
             raise RuntimeError(
                 f"could not render {frame_id}: retry budget exhausted "
                 "(template/window parameters incompatible)"
             )
-        frames.append(Frame(frame_id, tuple(objects)))
+        crops = np.clip((corners[kept] - np.tile(origin, 2)) / size, 0.0, 1.0)
+        objects = zip(kept.tolist(), crops.tolist())
+        frames.append(Frame(frame_id, tuple(SceneObject(c, BoundingBox(*b)) for c, b in objects)))
     return frames

@@ -86,6 +86,27 @@ class TestUsageErrors:
         assert code == EXIT_INPUT
         assert "line" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("command", ["map", "corrupt"])
+    def test_field_of_wrong_json_type_exits_1(self, capsys, tmp_path, command):
+        gt_path = str(tmp_path / "gt.jsonl")
+        _small_gt(gt_path)
+        bad = tmp_path / "bad.jsonl"
+        if command == "map":
+            bad.write_text(
+                '{"frame_id": "a", "class_id": true, "bbox": [0.1, 0.1, 0.2, 0.2],'
+                ' "confidence": 0.9}\n'
+            )
+            argv = ["map", "--detections", str(bad), "--gt", gt_path]
+        else:
+            bad.write_text(
+                '{"n_classes": 3, "format_version": 1}\n{"frame_id": "a", "objects": [{"class_id":'
+                ' 0, "bbox": [0.1, 0.1, 0.2, 0.2], "validity": "false"}]}\n'
+            )
+            argv = ["corrupt", "--data", str(bad), "--out", str(tmp_path / "o")]
+        code, _, err = _run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert "line 1: bad class_id" in err if command == "map" else "line 2: bad validity" in err
+
 
 class TestCorrectCommand:
     def test_class_id_out_of_range_names_line(self, capsys, tmp_path):

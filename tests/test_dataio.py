@@ -175,13 +175,60 @@ class TestFramesValidation:
                 ' "original_label": [1]}]}',
                 "line 2: bad original_label",
             ),
+            (
+                '{"frame_id": "a", "objects": [{"class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2],'
+                ' "validity": "false", "original_label": 1}]}',
+                "line 2: bad validity",
+            ),
+            (
+                '{"frame_id": "a", "objects": [{"class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2],'
+                ' "validity": 0}]}',
+                "line 2: bad validity",
+            ),
+            (
+                '{"frame_id": "a", "objects": [{"class_id": true, "bbox": [0.1, 0.1, 0.2, 0.2]}]}',
+                "line 2: bad class_id",
+            ),
+            (
+                '{"frame_id": "a", "objects": [{"class_id": 2.7, "bbox": [0.1, 0.1, 0.2, 0.2]}]}',
+                "line 2: bad class_id",
+            ),
+            (
+                '{"frame_id": "a", "objects": [{"class_id": "1", "bbox": [0.1, 0.1, 0.2, 0.2]}]}',
+                "line 2: bad class_id",
+            ),
+            (
+                '{"frame_id": "a", "objects": [{"class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2],'
+                ' "validity": false, "original_label": 1.5}]}',
+                "line 2: bad original_label",
+            ),
+            (
+                '{"frame_id": "a", "objects": [{"class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2],'
+                ' "validity": false, "original_label": false}]}',
+                "line 2: bad original_label",
+            ),
         ],
-        ids=["number", "list", "objects-number", "objects-dict", "object-number", "label-list"],
+        ids=[
+            "number", "list", "objects-number", "objects-dict", "object-number", "label-list",
+            "validity-string", "validity-number", "class-id-bool", "class-id-fraction",
+            "class-id-string", "label-fraction", "label-bool",
+        ],
     )
     def test_malformed_frame_records_report_line(self, tmp_path, line, message):
         path = self._write(tmp_path, ['{"n_classes": 3, "format_version": 1}', line])
         with pytest.raises(FramesFileError, match=message):
             parse_frames(path)
+
+    def test_booleans_and_integral_numbers_read(self, tmp_path):
+        row = (
+            '{"frame_id": "a", "objects": [{"class_id": 2.0, "bbox": [0.1, 0.1, 0.2, 0.2],'
+            ' "validity": false, "original_label": 1}]}'
+        )
+        path = self._write(tmp_path, ['{"n_classes": 3, "format_version": 1}', row])
+        rec = parse_frames(path).records[0]
+        assert rec.frame.objects[0].label_id == 2
+        assert type(rec.frame.objects[0].label_id) is int
+        assert rec.validity.tolist() == [False] and rec.original_labels.tolist() == [1]
 
     @pytest.mark.parametrize("n_classes", ['"x"', "[3]", "null"])
     def test_bad_header_n_classes_reports_line_1(self, tmp_path, n_classes):
@@ -248,8 +295,19 @@ class TestDetectionsValidation:
              ' "confidence": null}', "line 2: "),
             ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1], "confidence": 0.9}',
              "^line 2: bbox must be"),
+            ('{"frame_id": "f", "class_id": true, "bbox": [0.1, 0.1, 0.2, 0.2],'
+             ' "confidence": 0.9}', "^line 2: bad class_id"),
+            ('{"frame_id": "f", "class_id": 2.7, "bbox": [0.1, 0.1, 0.2, 0.2],'
+             ' "confidence": 0.9}', "^line 2: bad class_id"),
+            ('{"frame_id": "f", "class_id": "1", "bbox": [0.1, 0.1, 0.2, 0.2],'
+             ' "confidence": 0.9}', "^line 2: bad class_id"),
+            ('{"frame_id": "f", "bbox": [0.1, 0.1, 0.2, 0.2], "confidence": 0.9}',
+             "^line 2: missing field 'class_id'"),
         ],
-        ids=["number", "list", "class-id-list", "confidence-null", "short-bbox"],
+        ids=[
+            "number", "list", "class-id-list", "confidence-null", "short-bbox",
+            "class-id-bool", "class-id-fraction", "class-id-string", "class-id-missing",
+        ],
     )
     def test_malformed_records_report_line(self, tmp_path, line, message):
         path = tmp_path / "d.jsonl"

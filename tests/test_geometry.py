@@ -114,6 +114,12 @@ class TestPairwiseGeometry:
         b = BoundingBox(0.1, 0.1, 0.3, 0.3)
         assert pairwise_geometry(a, b).size_ratio == SIZE_RATIO_CAP
 
+    def test_overflowing_ratio_capped(self):
+        # a subnormal reference area: b.area / a.area overflows to inf
+        a = BoundingBox(0.0, 0.0, 0.75, 5e-324)
+        b = BoundingBox(0.0, 0.0, 0.125, 0.125)
+        assert pairwise_geometry(a, b).size_ratio == SIZE_RATIO_CAP
+
     @given(boxes(), boxes())
     def test_antisymmetry(self, a, b):
         ab = pairwise_geometry(a, b)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from scenegnn.scenegraph import (
     Frame,
     SceneObject,
     build_graph,
-    build_node_features,
     knn_edges,
     normalize_edge_features,
 )
@@ -42,28 +43,77 @@ def frames(draw, n_classes=8):
     return Frame("f", tuple(objs))
 
 
+# Coordinates on a coarse dyadic grid: centres and squared distances are
+# exact in float64, so boxes coincide, distances tie and widths reach zero.
+GRID = [0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def adversarial_frames(draw):
+    """(frame, n_classes): 1-9 objects with zero-area and duplicated boxes,
+    coincident centres, exact distance ties, and sometimes one class only."""
+    n_classes = draw(st.sampled_from([2, 3, 39]))
+    single = draw(st.integers(0, n_classes - 1)) if draw(st.booleans()) else None
+    coord = st.sampled_from(GRID) | st.floats(0, 1)
+    objs = []
+    for _ in range(draw(st.integers(1, 9))):
+        if objs and draw(st.integers(0, 3)) == 0:
+            objs.append(draw(st.sampled_from(objs)))
+            continue
+        x0, x1 = sorted((draw(coord), draw(coord)))
+        y0, y1 = sorted((draw(coord), draw(coord)))
+        label = draw(st.integers(0, n_classes - 1)) if single is None else single
+        objs.append(obj(label, x0, y0, x1, y1))
+    return Frame("f", tuple(objs)), n_classes
+
+
+def reference_edges(frame, k):
+    """Per node, the others sorted by (distance, index), the first k kept;
+    union with the reverse edges; sorted."""
+    centers = [o.bbox.center for o in frame.objects]
+    n = len(centers)
+    kk = n - 1 if k == ALL_NEIGHBORS else min(k, n - 1)
+    edges = set()
+    for i, (xi, yi) in enumerate(centers):
+        ranked = sorted(
+            (math.sqrt((xi - xj) * (xi - xj) + (yi - yj) * (yi - yj)), j)
+            for j, (xj, yj) in enumerate(centers)
+            if j != i
+        )
+        edges |= {(i, j) for _, j in ranked[:kk]} | {(j, i) for _, j in ranked[:kk]}
+    return [list(e) for e in sorted(edges)]
+
+
+def node_features(o, n_classes):
+    return build_graph(Frame("f", (o,)), 1, n_classes).node_features[0]
+
+
+def centers(objs):
+    return np.array([o.bbox.center for o in objs])
+
+
 class TestNodeFeatures:
     def test_full_frame_first_class(self):
-        f = build_node_features(obj(0, 0, 0, 1, 1), 39)
+        f = node_features(obj(0, 0, 0, 1, 1), 39)
         assert f.tolist() == [0.0, 0.5, 0.5, 1.0, 1.0]
 
     def test_last_class(self):
-        f = build_node_features(obj(38, 0.2, 0.2, 0.4, 0.6), 39)
+        f = node_features(obj(38, 0.2, 0.2, 0.4, 0.6), 39)
         assert f == pytest.approx([1.0, 0.3, 0.4, 0.2, 0.4])
 
     def test_middle_class_degenerate_box(self):
-        f = build_node_features(obj(19, 0.5, 0.5, 0.5, 0.5), 39)
+        f = node_features(obj(19, 0.5, 0.5, 0.5, 0.5), 39)
         assert f == pytest.approx([0.5, 0.5, 0.5, 0.0, 0.0])
 
     def test_range(self):
-        f = build_node_features(obj(3, 0.1, 0.2, 0.9, 0.95), 5)
+        f = node_features(obj(3, 0.1, 0.2, 0.9, 0.95), 5)
         assert np.all((f >= 0) & (f <= 1))
 
 
 class TestKnnEdges:
     def test_small_frame_complete(self):
         objs = [point_obj(0, 0.1, 0.1), point_obj(1, 0.5, 0.5), point_obj(2, 0.9, 0.1)]
-        edges = {tuple(e) for e in knn_edges(objs, 5)}
+        edges = {tuple(e) for e in knn_edges(centers(objs), 5)}
         assert edges == {(i, j) for i in range(3) for j in range(3) if i != j}
 
     def test_hand_sorted_k1(self):
@@ -74,11 +124,11 @@ class TestKnnEdges:
             SceneObject(1, BoundingBox(0, 0.1, 0, 0.1)),
             SceneObject(2, BoundingBox(0, 0.9, 0, 0.9)),
         ]
-        edges = {tuple(e) for e in knn_edges(objs, 1)}
+        edges = {tuple(e) for e in knn_edges(centers(objs), 1)}
         assert edges == {(0, 1), (1, 0), (2, 1), (1, 2)}
 
     def test_single_node(self):
-        assert knn_edges([point_obj(0, 0.5, 0.5)], 3).shape == (0, 2)
+        assert knn_edges(centers([point_obj(0, 0.5, 0.5)]), 3).shape == (0, 2)
 
     def test_tie_break_lower_index(self):
         # nodes 1 and 2 equidistant from node 0, but nearest to each other,
@@ -89,25 +139,25 @@ class TestKnnEdges:
             SceneObject(1, BoundingBox(0.25, 0.5, 0.25, 0.5)),
             SceneObject(2, BoundingBox(0.75, 0.5, 0.75, 0.5)),
         ]
-        edges = {tuple(e) for e in knn_edges(objs, 1)}
+        edges = {tuple(e) for e in knn_edges(centers(objs), 1)}
         assert edges == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
     def test_all_equals_complete(self):
         objs = [point_obj(i, 0.1 * (i + 1), 0.2 * (i + 1) % 1) for i in range(5)]
-        assert np.array_equal(knn_edges(objs, ALL_NEIGHBORS), knn_edges(objs, 4))
+        assert np.array_equal(knn_edges(centers(objs), ALL_NEIGHBORS), knn_edges(centers(objs), 4))
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_k_below_one_rejected(self, k):
         objs = [point_obj(i, 0.1 * (i + 1), 0.15 * (i + 1)) for i in range(6)]
         with pytest.raises(ValueError, match="k must be >= 1"):
-            knn_edges(objs, k)
+            knn_edges(centers(objs), k)
         with pytest.raises(ValueError, match="k must be >= 1"):
-            knn_edges(objs[:1], k)
+            knn_edges(centers(objs[:1]), k)
 
     @given(frames())
     @settings(max_examples=50)
     def test_symmetrized(self, frame):
-        edges = {tuple(e) for e in knn_edges(frame.objects, 3)}
+        edges = {tuple(e) for e in knn_edges(centers(frame.objects), 3)}
         assert all((j, i) in edges for (i, j) in edges)
         assert all(i != j for (i, j) in edges)
 
@@ -116,6 +166,34 @@ class TestBuildGraph:
     def test_rejects_empty_frame(self):
         with pytest.raises(ValueError):
             build_graph(Frame("e", ()), 5, 10)
+
+    @pytest.mark.parametrize("label", [-1, 10])
+    def test_rejects_out_of_range_label(self, label):
+        frame = Frame("f", (point_obj(2, 0.2, 0.2), point_obj(label, 0.7, 0.7)))
+        with pytest.raises(ValueError, match=f"label_id {label} out of range for 10 classes"):
+            build_graph(frame, 5, 10)
+
+    @pytest.mark.parametrize("n_classes", [1, 0])
+    def test_rejects_fewer_than_two_classes(self, n_classes):
+        frame = Frame("f", (point_obj(0, 0.2, 0.2), point_obj(0, 0.7, 0.7)))
+        with pytest.raises(ValueError, match="n_classes must be >= 2"):
+            build_graph(frame, 5, n_classes)
+
+    @given(adversarial_frames(), st.sampled_from([1, 3, ALL_NEIGHBORS]))
+    @settings(max_examples=150)
+    def test_adversarial_frames_match_scalar_reference(self, case, k):
+        frame, n_classes = case
+        g = build_graph(frame, k, n_classes)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (g.n_edges, 2)
+        assert g.edges.tolist() == reference_edges(frame, k)
+        expected = np.array(
+            [
+                [o.label_id / (n_classes - 1), *o.bbox.center, o.bbox.width, o.bbox.height]
+                for o in frame.objects
+            ]
+        )
+        assert g.node_features.tobytes() == expected.tobytes()
+        assert np.isfinite(g.node_features).all() and np.isfinite(g.edge_features).all()
 
     def test_two_object_frame(self):
         frame = Frame("f", (point_obj(1, 0.2, 0.2), point_obj(3, 0.7, 0.7)))

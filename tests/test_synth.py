@@ -1,7 +1,52 @@
 import numpy as np
 import pytest
 
-from scenegnn.synth import gen_template, render_views
+from scenegnn.corrupt import derive_seed
+from scenegnn.geometry import clamp_box
+from scenegnn.scenegraph import Frame, SceneObject
+from scenegnn.synth import MAX_RETRIES, MIN_VISIBLE_FRACTION, gen_template, render_views
+
+
+def scalar_render_views(template, n_frames, view_jitter, dropout_prob, seed):
+    """render_views one class at a time: the oracle for its array expressions
+    and for the order in which it draws from each frame's generator."""
+    frames = []
+    for i in range(n_frames):
+        frame_id = f"frame_{i:05d}"
+        rng = np.random.default_rng(derive_seed(seed, f"view/{frame_id}"))
+        for _ in range(MAX_RETRIES):
+            size = 1.0 / rng.uniform(*view_jitter)
+            ox = rng.uniform(0.0, 1.0 - size)
+            oy = rng.uniform(0.0, 1.0 - size)
+            objects = []
+            for cls in range(template.n_classes):
+                cx, cy = template.anchors[cls]
+                w, h = template.sizes[cls]
+                x0, y0, x1, y1 = cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
+                ix = max(0.0, min(x1, ox + size) - max(x0, ox))
+                iy = max(0.0, min(y1, oy + size) - max(y0, oy))
+                if (ix * iy) / ((x1 - x0) * (y1 - y0)) < MIN_VISIBLE_FRACTION:
+                    continue
+                if dropout_prob > 0.0 and rng.random() < dropout_prob:
+                    continue
+                box = clamp_box(
+                    (x0 - ox) / size, (y0 - oy) / size, (x1 - ox) / size, (y1 - oy) / size
+                )
+                objects.append(SceneObject(cls, box))
+            if len(objects) >= 2:
+                break
+        frames.append(Frame(frame_id, tuple(objects)))
+    return frames
+
+
+def frame_bits(frames):
+    """Frame ids, labels, and the bytes of every box's four floats."""
+    ids = [f.frame_id for f in frames]
+    labels = [[o.label_id for o in f.objects] for f in frames]
+    boxes = np.array(
+        [[o.bbox.x_min, o.bbox.y_min, o.bbox.x_max, o.bbox.y_max] for f in frames for o in f.objects]
+    )
+    return ids, labels, boxes.tobytes()
 
 
 class TestGenTemplate:
@@ -110,3 +155,11 @@ class TestRenderViews:
             render_views(t, 2, dropout_prob=0.9, seed=0)
         with pytest.raises(ValueError):
             render_views(t, 2, view_jitter=(3.0, 1.5), seed=0)
+
+    @pytest.mark.parametrize("view_jitter", [(1.0, 1.0), (1.5, 3.0)])
+    @pytest.mark.parametrize("dropout_prob", [0.0, 0.05, 0.5])
+    def test_equals_scalar_oracle_bit_for_bit(self, dropout_prob, view_jitter):
+        t = gen_template(39, seed=4)
+        frames = render_views(t, 150, view_jitter, dropout_prob, seed=6)
+        expected = scalar_render_views(t, 150, view_jitter, dropout_prob, seed=6)
+        assert frame_bits(frames) == frame_bits(expected)
