@@ -173,7 +173,7 @@ def _cmd_train(args) -> dict:
 
     meta = {
         "epochs_run": config.epochs,
-        "final_loss": history.epochs[-1].total_loss if history.epochs else None,
+        "final_loss": history.epochs[-1].total_loss,
     }
     save_checkpoint(final_params, config, args.out, metadata=meta)
     save_checkpoint(best_params, config, args.out + ".best", metadata=meta)

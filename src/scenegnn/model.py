@@ -71,6 +71,11 @@ class ModelConfig:
             raise ValueError("validity_threshold must be in (0, 1)")
         if self.lam_valid < 0 or self.lam_label < 0:
             raise ValueError("loss weights must be >= 0")
+        if not 0.0 <= self.lr < float("inf"):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.label_encoding not in ("scalar", "onehot"):
             raise ValueError(f"unknown label_encoding {self.label_encoding!r}")
         if self.msg_mode not in (nn.MSG_NODES, nn.MSG_NODES_EDGES):

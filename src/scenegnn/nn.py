@@ -1,9 +1,9 @@
 """Dense neural-network kernels: GraphSAGE mean aggregation, heads, losses,
 hand-written reverse-mode gradients and Adam. float64 throughout.
 
-No ML framework. Mean aggregation is one scipy.sparse matrix per batch, the
-row-normalised adjacency of the batch's disjoint union of graphs. Every batch
-is gathered from a PackedGraphs store: training packs each data set once,
+No ML framework. Mean aggregation is one batched matmul over a dense block per
+graph, its row-normalised adjacency padded to the batch's largest graph. Every
+batch is gathered from a PackedGraphs store: training packs each data set once,
 predict packs its list once, and make_batch packs a list it is given.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-import scipy.sparse as sp
 
 from .scenegraph import SceneGraph, normalize_edge_features
 
@@ -119,7 +118,8 @@ class GraphBatch:
     """Disjoint union of scene graphs prepared for forward/backward passes."""
 
     x: np.ndarray  # N x F node inputs
-    adj: sp.csr_matrix = field(repr=False)  # N x N, 1/|N(i)| at each neighbour of i
+    adj: np.ndarray = field(repr=False)  # G x M x M, 1/|N(i)| at each neighbour j of i
+    slot: np.ndarray = field(repr=False)  # N, each node's row g * M + i of the padded stack
     edge_mean: np.ndarray  # N x 6 mean normalized feature of each node's out-edges
     validity_gt: np.ndarray  # N bools
     label_gt: np.ndarray  # N ints (original labels)
@@ -131,13 +131,14 @@ class GraphBatch:
         return self.x.shape[0]
 
 
-def _row_means(deg: np.ndarray, columns: np.ndarray, n_columns: int) -> sp.csr_matrix:
-    """Sparse matrix whose row i holds 1/deg[i] at each of its deg[i] entries
-    of ``columns`` (int32, rows in order), so that it averages them."""
-    indptr = np.zeros(deg.shape[0] + 1, dtype=np.int32)
-    np.cumsum(deg, out=indptr[1:])
-    weights = np.repeat(1.0 / np.maximum(deg, 1.0), deg)
-    return sp.csr_matrix((weights, columns, indptr), shape=(deg.shape[0], n_columns))
+def mean_aggregate(blocks: np.ndarray, slot: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``blocks[g] @ h`` per graph g, with each node's row of ``h`` at its
+    ``slot`` of a zero G*M x F stack. A GraphBatch's ``adj`` averages each
+    node's neighbours; ``adj.transpose(0, 2, 1)`` returns their gradients."""
+    (g, m, _), f = blocks.shape, h.shape[1]
+    padded = np.zeros((g * m, f))
+    padded[slot] = h
+    return (blocks @ padded.reshape(g, m, f)).reshape(g * m, f)[slot]
 
 
 class PackedGraphs:
@@ -146,9 +147,9 @@ class PackedGraphs:
 
     Per node it holds the node features, current label, targets, degree and
     the mean normalised feature of the node's out-edges; per edge, the
-    neighbour's store-wide index, grouped by source with a stable sort; per
-    graph, node and edge offsets. The one-hot inputs and the adjacency are
-    built per batch.
+    neighbour's index within its graph, grouped by source with a stable sort;
+    per graph, node and edge offsets. The one-hot inputs and the adjacency
+    blocks are built per batch.
     """
 
     def __init__(self, graphs: list[SceneGraph]) -> None:
@@ -168,7 +169,7 @@ class PackedGraphs:
         self.validity = np.concatenate([g.validity for g in graphs])
         self.original_labels = np.concatenate([g.original_labels for g in graphs])
         self.degree = np.empty(n, dtype=np.int32)
-        self.neighbour = np.empty(e, dtype=np.int32)  # int32 indices skip scipy's range scan
+        self.neighbour = np.empty(e, dtype=np.int32)
         self.edge_mean = np.empty((n, 6))
         for g, n0, e0 in zip(graphs, self.node_start.tolist(), self.edge_start.tolist()):
             src, nodes = g.edges[:, 0], slice(n0, n0 + g.n_nodes)
@@ -180,7 +181,7 @@ class PackedGraphs:
             mean = np.bincount(cells.ravel(), terms.ravel(), minlength=g.n_nodes * 6)
             self.edge_mean[nodes] = mean.reshape(g.n_nodes, 6)
             self.degree[nodes] = deg
-            self.neighbour[e0: e0 + g.n_edges] = g.edges[np.argsort(src, kind="stable"), 1] + n0
+            self.neighbour[e0: e0 + g.n_edges] = g.edges[np.argsort(src, kind="stable"), 1]
 
     def __len__(self) -> int:
         return self.graph_nodes.shape[0]
@@ -194,23 +195,22 @@ def make_batch(
     """Union of graphs ``ids`` (default: all) of ``graphs``; node losses are
     averaged within each graph and then across graphs.
 
-    A list of graphs is packed first. Edges are grouped by source with a
-    stable sort, so each row of ``adj`` lists its neighbours in edge order.
-    For edges sorted by (src, dst), as build_graph makes them, ``adj @ h``
-    adds the same products in the same order as a mean over gathered
-    per-edge messages.
+    A list of graphs is packed first. Graph g of the batch gets block
+    ``adj[g]``, zero-padded to the largest graph's M nodes, and node i of it
+    the padded row ``slot = g * M + i``.
     """
     store = graphs if isinstance(graphs, PackedGraphs) else PackedGraphs(graphs)
     ids = np.arange(len(store)) if ids is None else np.asarray(ids, dtype=np.int64)
     sizes = store.graph_nodes[ids]
     n_edges = store.edge_start[ids + 1] - store.edge_start[ids]
-    n, e = int(sizes.sum()), int(n_edges.sum())
-    node_shift = store.node_start[ids] - (np.cumsum(sizes) - sizes)
-    node = np.repeat(node_shift, sizes) + np.arange(n)
-    edge = np.repeat(store.edge_start[ids] - (np.cumsum(n_edges) - n_edges), n_edges)
-    edge += np.arange(e)
-    indices = (store.neighbour[edge] - np.repeat(node_shift, n_edges)).astype(np.int32)
-    adj = _row_means(store.degree[node], indices, n)
+    n, e, m = int(sizes.sum()), int(n_edges.sum()), int(sizes.max(initial=0))
+    local = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # index in its graph
+    node = np.repeat(store.node_start[ids], sizes) + local
+    edge = np.repeat(store.edge_start[ids] - (np.cumsum(n_edges) - n_edges), n_edges) + np.arange(e)
+    slot = np.repeat(np.arange(len(ids)) * m, sizes) + local
+    deg = store.degree[node]
+    adj = np.zeros((len(ids) * m, m))
+    adj[np.repeat(slot, deg), store.neighbour[edge]] = 1.0 / np.repeat(deg, deg)
     if label_encoding == "onehot":
         nc = store.n_classes
         x = np.zeros((n, nc + 4))
@@ -220,7 +220,8 @@ def make_batch(
         x = store.node_features[node]
     return GraphBatch(
         x=x,
-        adj=adj,
+        adj=adj.reshape(len(ids), m, m),
+        slot=slot,
         edge_mean=store.edge_mean[node],
         validity_gt=store.validity[node],
         label_gt=store.original_labels[node],
@@ -237,7 +238,7 @@ def _layer_forward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (agg, pre_activation, output); the mean over an empty
     neighbourhood is the zero vector."""
-    agg = batch.adj @ h
+    agg = mean_aggregate(batch.adj, batch.slot, h)
     if msg_mode == MSG_NODES_EDGES:
         agg = np.concatenate([agg, batch.edge_mean], axis=1)
     pre = h @ layer.w_self.T + agg @ layer.w_neigh.T + layer.bias
@@ -358,7 +359,9 @@ def backward(
 
     g_sage2, d_pre2 = layer_backward(d_h2, cache.pre2, cache.agg2, cache.h1)
     d_agg2 = d_pre2 @ params.sage2.w_neigh
-    d_h1 = d_pre2 @ params.sage2.w_self + batch.adj.T @ d_agg2[:, :cache.h1.shape[1]]
+    d_h1 = d_pre2 @ params.sage2.w_self + mean_aggregate(
+        batch.adj.transpose(0, 2, 1), batch.slot, d_agg2[:, :cache.h1.shape[1]]
+    )
     # the input features take no gradient, so layer 1 stops at its weights
     g_sage1, _ = layer_backward(d_h1, cache.pre1, cache.agg1, cache.x)
 

@@ -106,7 +106,6 @@ def train(
     params = init_model(config, np.random.default_rng(derive_seed(config.seed, "init")))
     state = nn.AdamState.for_params(params, lr=config.lr)
     history = TrainHistory()
-    best_params = _clone(params)
     best_acc = -1.0
 
     n = len(train_set)
@@ -144,14 +143,7 @@ def train(
                 val_label_f1=val_f1,
             )
         )
-        if val_set is not None and val_acc >= best_acc:
+        if val_set is None or val_acc >= best_acc:
             best_acc = val_acc
-            best_params = _clone(params)
-
-    if val_set is None:
-        best_params = _clone(params)
+            best_params = deepcopy(params)
     return params, best_params, history
-
-
-def _clone(params: ModelParams) -> ModelParams:
-    return deepcopy(params)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import scenegnn
 from scenegnn.cli import EXIT_INPUT, EXIT_OK, main
 from scenegnn.dataio import parse_detections, parse_frames, write_detections, write_frames
 from scenegnn.geometry import BoundingBox
@@ -149,6 +153,41 @@ class TestCorrectCommand:
         assert code == EXIT_INPUT
         assert message in err
         assert not out_path.exists()
+
+
+class TestTrainCommand:
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--epochs", "0", "epochs"),
+            ("--batch", "0", "batch_size"),
+            ("--lr", "-1", "lr"),
+            ("--lr", "nan", "lr"),
+        ],
+    )
+    def test_bad_training_option_exits_1(self, capsys, tmp_path, flag, value, field):
+        data = str(tmp_path / "data.jsonl")
+        code, _, err = _run(capsys, ["synth", "--classes", "6", "--frames", "20", "--out", data])
+        assert code == EXIT_OK, err
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = _run(capsys, ["train", "--data", data, "--out", str(ckpt), flag, value])
+        assert code == EXIT_INPUT
+        assert f"error: {field} must be" in err
+        assert not ckpt.exists()
+
+
+class TestImports:
+    def test_package_does_not_import_scipy(self):
+        src = str(Path(scenegnn.__file__).resolve().parents[1])
+        probe = (
+            "import sys, scenegnn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestMapCommand:

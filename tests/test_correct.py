@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import struct
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenegnn.correct import correct_detections, simulate_detector
 from scenegnn.geometry import BoundingBox
 from scenegnn.metrics import Detection
 from scenegnn.model import ModelConfig, ModelParams, init_model
 from scenegnn.nn import LinearHead, SageLayer, param_items
-from scenegnn.scenegraph import Frame, SceneObject
+from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject
 from scenegnn.train import build_dataset, train
 
 
@@ -177,6 +182,71 @@ class TestCorrectDetections:
         twice, _ = correct_detections(once, params, config)
         same = sum(a.class_id == b.class_id for a, b in zip(once, twice))
         assert same / len(once) >= 0.95
+
+
+# Dyadic grid: centres coincide exactly and widths reach zero.
+GRID = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0]
+N_CLASSES = 6
+
+
+@st.composite
+def detection_lists(draw):
+    """Detections of 1-5 frames, shuffled so that frames (single-detection
+    ones too) interleave: zero-area boxes, coincident centres, exact and
+    near-duplicates, and frames of a single class."""
+    coord = st.sampled_from(GRID) | st.floats(0, 1)
+    dets = []
+    for f in range(draw(st.integers(1, 5))):
+        single = draw(st.none() | st.integers(0, N_CLASSES - 1))
+        boxes = []
+        for _ in range(draw(st.integers(1, 9))):
+            if boxes and draw(st.booleans()):
+                b = draw(st.sampled_from(boxes))
+                nudge = draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+                box = BoundingBox(b.x_min, b.y_min, min(1.0, b.x_max + nudge), b.y_max)
+            else:
+                x0, x1 = sorted((draw(coord), draw(coord)))
+                y0, y1 = sorted((draw(coord), draw(coord)))
+                box = BoundingBox(x0, y0, x1, y1)
+            boxes.append(box)
+            label = draw(st.integers(0, N_CLASSES - 1)) if single is None else single
+            dets.append(Detection(f"f{f}", label, box, draw(st.floats(0, 1))))
+    return [dets[i] for i in draw(st.permutations(range(len(dets))))]
+
+
+def _bits(det):
+    return struct.pack("<5d", *astuple(det.bbox), det.confidence)
+
+
+class TestCorrectionProperties:
+    PARAMS = init_model(ModelConfig(n_classes=N_CLASSES, hidden_dim=8), np.random.default_rng(2))
+
+    @given(
+        dets=detection_lists(),
+        k=st.sampled_from([1, 3, ALL_NEIGHBORS]),
+        tau=st.sampled_from([0.0, 0.45, 0.5, 0.55, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_only_class_changes_and_only_below_tau(self, dets, k, tau):
+        config = ModelConfig(n_classes=N_CLASSES, hidden_dim=8)
+        out, records = correct_detections(dets, self.PARAMS, config, k=k, tau=tau)
+        assert len(out) == len(dets) and len(records) == len(dets)
+        for before, after in zip(dets, out):
+            assert (after.frame_id, _bits(after)) == (before.frame_id, _bits(before))
+        # records come per frame in order of first appearance, one per detection
+        positions = {}
+        for i, d in enumerate(dets):
+            positions.setdefault(d.frame_id, []).append(i)
+        assert [(r.frame_id, r.node_index) for r in records] == [
+            (fid, n) for fid, idx in positions.items() for n in range(len(idx))
+        ]
+        for r in records:
+            i = positions[r.frame_id][r.node_index]
+            assert r.original_class == dets[i].class_id
+            assert out[i].class_id == r.corrected_class
+            assert r.applied == (r.corrected_class != r.original_class)
+            if r.applied:
+                assert r.validity_score < tau
 
 
 class TestSimulateDetector:

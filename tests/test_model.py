@@ -182,6 +182,21 @@ class TestBatchedPredict:
             atol=1e-12,
         )
 
+    def test_padding_never_reaches_real_nodes(self):
+        # in one batch, the small graph's block is zero-padded to the larger's
+        cfg = ModelConfig(n_classes=6, hidden_dim=8, seed=6)
+        params = init_model(cfg)
+        small, larger = fixed_graph(n=5, k=3, seed=1), fixed_graph(n=40, k=3, seed=2)
+        assert len(chunked([small, larger], lambda g: g.n_nodes)) == 1
+        alone = predict([small], params, cfg)
+        padded = predict([small, larger], params, cfg)
+        for field in ("is_invalid", "corrected_label"):
+            np.testing.assert_array_equal(getattr(padded, field)[:5], getattr(alone, field))
+        for field in ("validity_prob", "confidence"):
+            np.testing.assert_allclose(
+                getattr(padded, field)[:5], getattr(alone, field), rtol=1e-13, atol=0
+            )
+
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -277,6 +292,24 @@ class TestConfigValidation:
     def test_bad_configs_rejected(self, kw):
         with pytest.raises(ValueError):
             ModelConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            ({"epochs": 0}, "epochs"),
+            ({"batch_size": 0}, "batch_size"),
+            ({"batch_size": -4}, "batch_size"),
+            ({"lr": -1.0}, "lr"),
+            ({"lr": float("nan")}, "lr"),
+            ({"lr": float("inf")}, "lr"),
+        ],
+    )
+    def test_bad_training_options_name_the_field(self, kw, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ModelConfig(**kw)
+
+    def test_zero_lr_allowed(self):
+        assert ModelConfig(lr=0.0).lr == 0.0
 
     def test_input_dim(self):
         assert ModelConfig(n_classes=39).input_dim == 43  # onehot default

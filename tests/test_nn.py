@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from scenegnn import nn
 from scenegnn.geometry import BoundingBox
@@ -294,11 +293,12 @@ class TestAdam:
 
 
 def reference_batch(graphs, label_encoding):
-    """Per-graph loop over the raw graphs: inputs, edge means and the mean
-    adjacency built from scratch, as one batch without a store."""
-    xs, exs, srcs, dsts, wts = [], [], [], [], []
-    offset = 0
-    for g in graphs:
+    """Per-graph, per-edge loop over the raw graphs: inputs, edge means and
+    the padded mean-adjacency blocks built from scratch, without a store."""
+    m = max(g.n_nodes for g in graphs)
+    adj = np.zeros((len(graphs), m, m))
+    xs, edge_means, slots, wts = [], [], [], []
+    for b, g in enumerate(graphs):
         if label_encoding == "onehot":
             x = np.zeros((g.n_nodes, g.n_classes + 4))
             x[np.arange(g.n_nodes), g.current_labels] = 1.0
@@ -306,22 +306,21 @@ def reference_batch(graphs, label_encoding):
         else:
             x = g.node_features
         xs.append(x)
-        exs.append(normalize_edge_features(g.edge_features))
-        srcs.append(g.edges[:, 0] + offset)
-        dsts.append(g.edges[:, 1] + offset)
+        ex = normalize_edge_features(g.edge_features)
+        deg = np.bincount(g.edges[:, 0], minlength=g.n_nodes)
+        edge_mean = np.zeros((g.n_nodes, 6))
+        for (src, dst), feat in zip(g.edges.tolist(), ex):
+            adj[b, src, dst] = 1.0 / deg[src]
+            # one term at a time in edge order, as the store's bincount adds them
+            edge_mean[src] = edge_mean[src] + (1.0 / deg[src]) * feat
+        edge_means.append(edge_mean)
+        slots.append(b * m + np.arange(g.n_nodes))
         wts.append(np.full(g.n_nodes, 1.0 / (g.n_nodes * len(graphs))))
-        offset += g.n_nodes
-    src = np.concatenate(srcs)
-    order = np.argsort(src, kind="stable")
-    deg = np.bincount(src, minlength=offset)
-    indptr = np.concatenate([[0], np.cumsum(deg)])
-    weights = (1.0 / np.maximum(deg, 1.0))[src[order]]
-    adj = sp.csr_matrix((weights, np.concatenate(dsts)[order], indptr), shape=(offset, offset))
-    edge_agg = sp.csr_matrix((weights, order, indptr), shape=(offset, src.shape[0]))
     return nn.GraphBatch(
         x=np.concatenate(xs),
         adj=adj,
-        edge_mean=edge_agg @ np.concatenate(exs),
+        slot=np.concatenate(slots),
+        edge_mean=np.concatenate(edge_means),
         validity_gt=np.concatenate([g.validity for g in graphs]),
         label_gt=np.concatenate([g.original_labels for g in graphs]),
         node_weights=np.concatenate(wts),
@@ -329,12 +328,8 @@ def reference_batch(graphs, label_encoding):
 
 
 def assert_batches_identical(a, b):
-    for name in ("x", "edge_mean", "validity_gt", "label_gt", "node_weights"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
-        assert getattr(a, name).dtype == getattr(b, name).dtype, name
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(a.adj, name), getattr(b.adj, name), err_msg=name)
-    assert a.adj.shape == b.adj.shape
+    for name in ("x", "adj", "slot", "edge_mean", "validity_gt", "label_gt", "node_weights"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name, strict=True)
 
 
 class TestPackedBatch:
@@ -361,3 +356,34 @@ class TestPackedBatch:
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError, match="n_classes"):
             nn.PackedGraphs([random_graph(3, rng), random_graph(3, rng, n_classes=6)])
+
+
+class TestMeanAggregate:
+    def test_equals_per_node_sums(self):
+        # mixed sizes pad the blocks; a one-node graph has an empty
+        # neighbourhood; a complete graph exceeds predict's chunk cap
+        rng = np.random.default_rng(15)
+        graphs = [random_graph(n, rng) for n in (7, 1, 3, 12)]
+        graphs.append(random_graph(PREDICT_CHUNK_NODES + 6, rng, k=ALL_NEIGHBORS))
+        batch = nn.make_batch(graphs, "scalar")
+        h = rng.uniform(0.5, 2.0, (batch.n_nodes, 9))
+        forward = np.zeros_like(h)
+        transposed = np.zeros_like(h)
+        offset = 0
+        for g in graphs:
+            deg = np.bincount(g.edges[:, 0], minlength=g.n_nodes)
+            for i in range(g.n_nodes):
+                for j in g.edges[g.edges[:, 0] == i, 1]:
+                    forward[offset + i] += h[offset + j] / deg[i]
+                for j in g.edges[g.edges[:, 1] == i, 0]:
+                    transposed[offset + i] += h[offset + j] / deg[j]
+            offset += g.n_nodes
+        np.testing.assert_allclose(
+            nn.mean_aggregate(batch.adj, batch.slot, h), forward, rtol=1e-13, atol=0
+        )
+        np.testing.assert_allclose(
+            nn.mean_aggregate(batch.adj.transpose(0, 2, 1), batch.slot, h),
+            transposed, rtol=1e-13, atol=0,
+        )
+        one_node = batch.slot[graphs[0].n_nodes]
+        np.testing.assert_array_equal(batch.adj.reshape(-1, batch.adj.shape[2])[one_node], 0.0)
