@@ -11,7 +11,7 @@ import numpy as np
 
 from . import dataio
 from .corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame_rng
-from .correct import correct_detections
+from .correct import correct_detections, resolve_tau
 from .metrics import evaluate_graphs, map50
 from .model import (
     CheckpointError,
@@ -235,11 +235,15 @@ def _cmd_correct(args) -> dict:
     if args.audit:
         lines = "\n".join(json.dumps(dataclasses.asdict(r)) for r in records)
         dataio.atomic_write_text(args.audit, lines + ("\n" if lines else ""))
-    applied = sum(1 for r in records if r.applied)
+    tau = resolve_tau(ckpt.config, args.tau)
     return {
         "command": "correct",
+        "frames": len({r.frame_id for r in records}),
+        "passthrough_frames": sum(1 for r in records if r.note),
         "detections": len(detections),
-        "applied_corrections": applied,
+        # a passthrough record scores 1.0, so it is never below tau
+        "flagged": sum(1 for r in records if r.validity_score < tau),
+        "applied_corrections": sum(1 for r in records if r.applied),
         "out": args.out,
     }
 

@@ -24,6 +24,15 @@ class CorrectionRecord:
     note: str = ""
 
 
+def resolve_tau(config: ModelConfig, tau: float | None = None) -> float:
+    """The validity threshold below which a detection is flagged: ``tau``, or
+    the model's own when it is None."""
+    tau = config.validity_threshold if tau is None else tau
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    return tau
+
+
 def correct_detections(
     detections: list[Detection],
     params: ModelParams,
@@ -39,9 +48,7 @@ def correct_detections(
     time, so graphs and network activations are held for one chunk only.
     """
     k = config.k if k is None else check_k(k)
-    tau = config.validity_threshold if tau is None else tau
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    tau = resolve_tau(config, tau)
 
     by_frame: dict[str, list[tuple[int, Detection]]] = defaultdict(list)
     for idx, det in enumerate(detections):

@@ -55,12 +55,23 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _json_float(value, name: str, line_no: int) -> float:
+    """``value`` as a float: a JSON number, never a bool, a string or null."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise FramesFileError(f"line {line_no}: bad {name}: expected a number, got {value!r}")
+
+
 def _parse_bbox(raw, line_no: int) -> BoundingBox:
     if not isinstance(raw, list) or len(raw) != 4:
         raise FramesFileError(f"line {line_no}: bbox must be a list of 4 floats")
+    coords = [_json_float(v, "bbox", line_no) for v in raw]
     try:
-        return BoundingBox(*(float(v) for v in raw))
-    except (TypeError, ValueError) as exc:
+        return BoundingBox(*coords)
+    except ValueError as exc:
         raise FramesFileError(f"line {line_no}: invalid bbox: {exc}") from exc
 
 
@@ -87,7 +98,7 @@ def _json_records(path: str) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer too long to convert
                 raise FramesFileError(f"line {line_no}: malformed JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise FramesFileError(f"line {line_no}: expected a JSON object")
@@ -107,10 +118,7 @@ def parse_frames(path: str, strict: bool = False) -> FrameDataset:
                 raise FramesFileError(
                     f"line 1: unsupported format_version {obj.get('format_version')!r}"
                 )
-            try:
-                n_classes = int(obj["n_classes"])
-            except (TypeError, ValueError) as exc:
-                raise FramesFileError(f"line 1: bad n_classes: {exc}") from exc
+            n_classes = _json_int(obj, "n_classes", 1)
             if n_classes < 2:
                 raise FramesFileError("line 1: n_classes must be >= 2")
             continue
@@ -215,15 +223,13 @@ def parse_detections(
         bbox = _parse_bbox(obj.get("bbox"), line_no)
         class_id = _json_int(obj, "class_id", line_no)
         try:
-            det = Detection(
-                frame_id=str(obj["frame_id"]),
-                class_id=class_id,
-                bbox=bbox,
-                confidence=float(obj["confidence"]),
-            )
+            frame_id, confidence = str(obj["frame_id"]), obj["confidence"]
         except KeyError as exc:
             raise FramesFileError(f"line {line_no}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        confidence = _json_float(confidence, "confidence", line_no)
+        try:
+            det = Detection(frame_id=frame_id, class_id=class_id, bbox=bbox, confidence=confidence)
+        except ValueError as exc:
             raise FramesFileError(f"line {line_no}: {exc}") from exc
         if n_classes is not None and not 0 <= det.class_id < n_classes:
             raise FramesFileError(

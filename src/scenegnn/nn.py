@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .scenegraph import SceneGraph, normalize_edge_features
+from .scenegraph import SceneGraph, normalize_edge_column
 
 MSG_NODES = "nodes"
 MSG_NODES_EDGES = "nodes+edges"
@@ -174,12 +174,12 @@ class PackedGraphs:
         for g, n0, e0 in zip(graphs, self.node_start.tolist(), self.edge_start.tolist()):
             src, nodes = g.edges[:, 0], slice(n0, n0 + g.n_nodes)
             deg = np.bincount(src, minlength=g.n_nodes)
-            # bincount adds each row's terms in edge order, as a loop over out-edges does
-            edge_x = normalize_edge_features(g.edge_features)
-            terms = (1.0 / np.maximum(deg, 1.0))[src, None] * edge_x
-            cells = (src * 6)[:, None] + np.arange(6)
-            mean = np.bincount(cells.ravel(), terms.ravel(), minlength=g.n_nodes * 6)
-            self.edge_mean[nodes] = mean.reshape(g.n_nodes, 6)
+            share = (1.0 / np.maximum(deg, 1.0))[src]
+            # one column at a time, so no E x 6 temporary; bincount adds each
+            # node's terms in edge order, as a loop over out-edges does
+            for c in range(6):
+                terms = normalize_edge_column(g.edge_features[:, c], c) * share
+                self.edge_mean[nodes, c] = np.bincount(src, terms, minlength=g.n_nodes)
             self.degree[nodes] = deg
             self.neighbour[e0: e0 + g.n_edges] = g.edges[np.argsort(src, kind="stable"), 1]
 

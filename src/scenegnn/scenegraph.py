@@ -4,6 +4,7 @@ k-NN edges by one stable sort, and per-edge geometry."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -100,9 +101,12 @@ def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
         [labels / (n_classes - 1), centers, boxes[:, 2:] - boxes[:, :2]]
     )
     edges = knn_edges(centers, k)
-    edge_features = np.array(
-        [pairwise_geometry(bboxes[i], bboxes[j]).as_tuple() for i, j in edges.tolist()],
+    # streamed, so that no per-edge Python tuples are held at once
+    pairs = zip(edges[:, 0].tolist(), edges[:, 1].tolist())
+    edge_features = np.fromiter(
+        chain.from_iterable(pairwise_geometry(bboxes[i], bboxes[j]).as_tuple() for i, j in pairs),
         dtype=np.float64,
+        count=6 * len(edges),
     ).reshape(-1, 6)
     return SceneGraph(
         node_features=node_features,
@@ -113,6 +117,17 @@ def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
         current_labels=labels,
         n_classes=n_classes,
     )
+
+
+def normalize_edge_column(column: np.ndarray, c: int) -> np.ndarray:
+    """Values ``column`` of edge feature ``c``, scaled as
+    ``normalize_edge_features`` scales that feature. The input is not
+    modified."""
+    if c == 3:
+        return column / 180.0
+    if c == 5:
+        return np.log1p(column)
+    return column
 
 
 def normalize_edge_features(edge_features: np.ndarray) -> np.ndarray:
@@ -126,4 +141,3 @@ def normalize_edge_features(edge_features: np.ndarray) -> np.ndarray:
     out[:, 3] /= 180.0
     np.log1p(out[:, 5], out=out[:, 5])
     return out
-

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scenegnn
@@ -112,7 +113,87 @@ class TestUsageErrors:
         assert "line 1: bad class_id" in err if command == "map" else "line 2: bad validity" in err
 
 
+class TestNumberFields:
+    """Coordinates, confidences and n_classes are JSON numbers, never strings or bools."""
+
+    @pytest.mark.parametrize(
+        "bbox, confidence, message",
+        [
+            ("[0.1, 0.1, 0.3, 0.3]", '"0.9"', "line 2: bad confidence"),
+            ('[0.1, "0.1", 0.3, 0.3]', "0.9", "line 2: bad bbox"),
+            ("[0.1, 0.1, true, 0.3]", "0.9", "line 2: bad bbox"),
+            ("[false, 0.1, 0.3, 0.3]", "0.9", "line 2: bad bbox"),
+            ("[0.1, 0.1, 0.3, 0.3]", "true", "line 2: bad confidence"),
+        ],
+        ids=["confidence-string", "coordinate-string", "coordinate-true", "coordinate-false",
+             "confidence-true"],
+    )
+    @pytest.mark.parametrize("command", ["map", "correct"])
+    def test_non_number_exits_1(self, capsys, tmp_path, command, bbox, confidence, message):
+        frames = _small_gt(str(tmp_path / "gt.jsonl"))
+        good = Detection("f0", 0, frames[0].objects[0].bbox, 0.9)
+        det_path = tmp_path / "dets.jsonl"
+        write_detections(str(det_path), [good])
+        with det_path.open("a") as f:
+            f.write(f'{{"frame_id": "f0", "class_id": 1, "bbox": {bbox}, "confidence": {confidence}}}\n')
+        out_path = tmp_path / "fixed.jsonl"
+        if command == "map":
+            argv = ["map", "--detections", str(det_path), "--gt", str(tmp_path / "gt.jsonl")]
+        else:
+            config = ModelConfig(n_classes=3, hidden_dim=8)
+            ckpt = str(tmp_path / "m.ckpt")
+            save_checkpoint(init_model(config), config, ckpt)
+            argv = ["correct", "--detections", str(det_path), "--checkpoint", ckpt,
+                    "--out", str(out_path)]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_INPUT and out == ""
+        assert message in err and "internal error" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("n_classes", ["39.7", '"39"', "true"])
+    def test_header_n_classes_not_an_integer_exits_1(self, capsys, tmp_path, n_classes):
+        frames = _small_gt(str(tmp_path / "gt.jsonl"))
+        gt = tmp_path / "bad_gt.jsonl"
+        lines = (tmp_path / "gt.jsonl").read_text().splitlines()
+        gt.write_text("\n".join([f'{{"n_classes": {n_classes}, "format_version": 1}}', *lines[1:]]))
+        det_path = str(tmp_path / "dets.jsonl")
+        write_detections(det_path, [Detection("f0", 0, frames[0].objects[0].bbox, 0.9)])
+        code, _, err = _run(capsys, ["map", "--detections", det_path, "--gt", str(gt)])
+        assert code == EXIT_INPUT
+        assert "line 1: bad n_classes" in err
+
+
 class TestCorrectCommand:
+    @pytest.mark.parametrize("tau", [None, "0.49"])
+    def test_summary_counts_match_audit(self, capsys, tmp_path, tau):
+        config = ModelConfig(n_classes=3, hidden_dim=8)
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(init_model(config, np.random.default_rng(3)), config, ckpt)
+        frames = _small_gt(str(tmp_path / "gt.jsonl"))
+        dets = [Detection(f.frame_id, o.label_id, o.bbox, 0.9) for f in frames for o in f.objects]
+        # two single-detection frames, one of them between the detections of f1
+        dets.insert(4, Detection("solo_a", 2, BoundingBox(0.4, 0.4, 0.5, 0.5), 0.8))
+        dets.append(Detection("solo_b", 0, BoundingBox(0.1, 0.1, 0.2, 0.2), 0.7))
+        det_path, audit = str(tmp_path / "dets.jsonl"), tmp_path / "audit.jsonl"
+        write_detections(det_path, dets)
+        argv = ["correct", "--detections", det_path, "--checkpoint", ckpt,
+                "--out", str(tmp_path / "fixed.jsonl"), "--audit", str(audit)]
+        code, out, err = _run(capsys, argv + (["--tau", tau] if tau else []))
+        assert code == EXIT_OK, err
+        summary = json.loads(out)
+        records = [json.loads(line) for line in audit.read_text().splitlines()]
+        passthrough = [r for r in records if r["note"]]
+        graphed = [r for r in records if not r["note"]]
+        threshold = config.validity_threshold if tau is None else float(tau)
+        flagged = [r for r in graphed if r["validity_score"] < threshold]
+        assert summary["frames"] == len({r["frame_id"] for r in records}) == 5
+        assert summary["passthrough_frames"] == len(passthrough) == 2
+        assert summary["detections"] == len(records) == len(dets) == 11
+        assert summary["flagged"] == len(flagged) > 0
+        assert summary["applied_corrections"] == sum(r["applied"] for r in records)
+        assert summary["applied_corrections"] <= summary["flagged"]
+        assert {r["frame_id"] for r in passthrough} == {"solo_a", "solo_b"}
+
     def test_class_id_out_of_range_names_line(self, capsys, tmp_path):
         config = ModelConfig(n_classes=39, hidden_dim=8)
         ckpt = str(tmp_path / "m.ckpt")

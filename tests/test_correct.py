@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -247,6 +248,27 @@ class TestCorrectionProperties:
             assert r.applied == (r.corrected_class != r.original_class)
             if r.applied:
                 assert r.validity_score < tau
+
+
+class TestMemoryBudget:
+    # Traced peak of correcting one dense frame, per directed edge, against
+    # the 64 B/edge that the finished graph holds (edges and edge features).
+    BYTES_PER_EDGE = 150
+
+    def test_dense_frame_peak_per_edge(self):
+        config = ModelConfig(n_classes=39, k=ALL_NEIGHBORS)
+        params = init_model(config, np.random.default_rng(0))
+        n = 150
+        dets = _detections(seed=11, n_frames=1, per_frame=n)
+        correct_detections(dets[:3], params, config)  # first-call allocations
+        tracemalloc.start()
+        try:
+            out, _ = correct_detections(dets, params, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == n
+        assert peak / (n * (n - 1)) < self.BYTES_PER_EDGE
 
 
 class TestSimulateDetector:

@@ -230,10 +230,22 @@ class TestFramesValidation:
         assert type(rec.frame.objects[0].label_id) is int
         assert rec.validity.tolist() == [False] and rec.original_labels.tolist() == [1]
 
-    @pytest.mark.parametrize("n_classes", ['"x"', "[3]", "null"])
+    @pytest.mark.parametrize("n_classes", ['"x"', "[3]", "null", "39.7", '"39"', "true"])
     def test_bad_header_n_classes_reports_line_1(self, tmp_path, n_classes):
         path = self._write(tmp_path, [f'{{"n_classes": {n_classes}, "format_version": 1}}'])
         with pytest.raises(FramesFileError, match="line 1: bad n_classes"):
+            parse_frames(path)
+
+    def test_integral_header_n_classes_reads(self, tmp_path):
+        path = self._write(tmp_path, ['{"n_classes": 39.0, "format_version": 1}'])
+        n_classes = parse_frames(path).n_classes
+        assert n_classes == 39 and type(n_classes) is int
+
+    @pytest.mark.parametrize("coord", ["true", "false", '"0.2"', "null", "[0.2]"])
+    def test_bbox_coordinate_must_be_a_number(self, tmp_path, coord):
+        row = f'{{"frame_id": "a", "objects": [{{"class_id": 0, "bbox": [0.1, 0.1, {coord}, 0.2]}}]}}'
+        path = self._write(tmp_path, ['{"n_classes": 3, "format_version": 1}', row])
+        with pytest.raises(FramesFileError, match="^line 2: bad bbox: expected a number"):
             parse_frames(path)
 
     def test_frame_before_header_reported(self, tmp_path):
@@ -303,10 +315,30 @@ class TestDetectionsValidation:
              ' "confidence": 0.9}', "^line 2: bad class_id"),
             ('{"frame_id": "f", "bbox": [0.1, 0.1, 0.2, 0.2], "confidence": 0.9}',
              "^line 2: missing field 'class_id'"),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1, 0.2, 0.2],'
+             ' "confidence": "0.9"}', "^line 2: bad confidence: expected a number, got '0.9'"),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1, 0.2, 0.2],'
+             ' "confidence": true}', "^line 2: bad confidence: expected a number, got True"),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1, 0.2, 0.2]}',
+             "^line 2: missing field 'confidence'"),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1, 0.2, 0.2],'
+             ' "confidence": 1.5}', r"^line 2: confidence 1.5 outside \[0, 1\]"),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, true, 0.2, 0.2],'
+             ' "confidence": 0.9}', "^line 2: bad bbox: expected a number, got True"),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1, "0.2", 0.2],'
+             ' "confidence": 0.9}', "^line 2: bad bbox: expected a number, got '0.2'"),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1, 1e400, 0.2],'
+             ' "confidence": 0.9}', "^line 2: invalid bbox: non-finite"),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1, 1' + "0" * 400 + ', 0.2],'
+             ' "confidence": 0.9}', "^line 2: bad bbox: expected a number"),
+            ('{"frame_id": "f", "class_id": 1, "bbox": [0.1, 0.1, 0.2, 0.2],'
+             ' "confidence": 1' + "0" * 5000 + '}', "^line 2: malformed JSON"),
         ],
         ids=[
             "number", "list", "class-id-list", "confidence-null", "short-bbox",
             "class-id-bool", "class-id-fraction", "class-id-string", "class-id-missing",
+            "confidence-string", "confidence-bool", "confidence-missing", "confidence-range",
+            "bbox-bool", "bbox-string", "bbox-inf", "bbox-huge-int", "int-too-long",
         ],
     )
     def test_malformed_records_report_line(self, tmp_path, line, message):
@@ -315,3 +347,10 @@ class TestDetectionsValidation:
         path.write_text(good + "\n" + line + "\n")
         with pytest.raises(FramesFileError, match=message):
             parse_detections(str(path))
+
+    def test_integers_read_as_floats(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"frame_id": "f", "class_id": 0, "bbox": [0, 0, 1, 1], "confidence": 1}\n')
+        (det,) = parse_detections(str(path))
+        assert det.confidence == 1.0 and type(det.confidence) is float
+        assert [type(v) for v in (det.bbox.x_min, det.bbox.x_max)] == [float, float]

@@ -194,6 +194,13 @@ class TestBuildGraph:
         )
         assert g.node_features.tobytes() == expected.tobytes()
         assert np.isfinite(g.node_features).all() and np.isfinite(g.edge_features).all()
+        # edge features bit for bit against the scalar geometry, (0, 6) for one object
+        boxes = [o.bbox for o in frame.objects]
+        expected_edges = [
+            pairwise_geometry(boxes[i], boxes[j]).as_tuple() for i, j in reference_edges(frame, k)
+        ]
+        assert g.edge_features.dtype == np.float64 and g.edge_features.shape == (g.n_edges, 6)
+        assert g.edge_features.tobytes() == np.array(expected_edges).reshape(-1, 6).tobytes()
 
     def test_two_object_frame(self):
         frame = Frame("f", (point_obj(1, 0.2, 0.2), point_obj(3, 0.7, 0.7)))
