@@ -5,6 +5,12 @@ No ML framework. Mean aggregation is one batched matmul over a dense block per
 graph, its row-normalised adjacency padded to the batch's largest graph. Every
 batch is gathered from a PackedGraphs store: training packs each data set once,
 predict packs its list once, and make_batch packs a list it is given.
+
+A training step allocates little beyond its activations: the forward adds the
+bias and applies the ReLU in place, backward writes every gradient into views
+of the AdamState's flat gradient buffer and runs the label head on the
+CE-weighted rows only, and adam_step updates the flat parameters and moments
+in place. Each of these keeps the bits of the plain expressions it replaces.
 """
 
 from __future__ import annotations
@@ -202,15 +208,18 @@ def make_batch(
     store = graphs if isinstance(graphs, PackedGraphs) else PackedGraphs(graphs)
     ids = np.arange(len(store)) if ids is None else np.asarray(ids, dtype=np.int64)
     sizes = store.graph_nodes[ids]
-    n_edges = store.edge_start[ids + 1] - store.edge_start[ids]
-    n, e, m = int(sizes.sum()), int(n_edges.sum()), int(sizes.max(initial=0))
+    n, m = int(sizes.sum()), int(sizes.max(initial=0))
     local = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # index in its graph
     node = np.repeat(store.node_start[ids], sizes) + local
-    edge = np.repeat(store.edge_start[ids] - (np.cumsum(n_edges) - n_edges), n_edges) + np.arange(e)
     slot = np.repeat(np.arange(len(ids)) * m, sizes) + local
     deg = store.degree[node]
     adj = np.zeros((len(ids) * m, m))
-    adj[np.repeat(slot, deg), store.neighbour[edge]] = 1.0 / np.repeat(deg, deg)
+    # each edge's cell of the flat blocks, then its value: at most two
+    # edge-long temporaries are alive at once
+    cell = np.repeat(slot * m, deg)
+    bounds = zip(store.edge_start[ids].tolist(), store.edge_start[ids + 1].tolist())
+    cell += np.concatenate([store.neighbour[:0], *(store.neighbour[a:b] for a, b in bounds)])
+    adj.reshape(-1)[cell] = np.repeat(1.0 / np.maximum(deg, 1), deg)
     if label_encoding == "onehot":
         nc = store.n_classes
         x = np.zeros((n, nc + 4))
@@ -235,14 +244,17 @@ def make_batch(
 
 def _layer_forward(
     layer: SageLayer, h: np.ndarray, batch: GraphBatch, msg_mode: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (agg, pre_activation, output); the mean over an empty
-    neighbourhood is the zero vector."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (agg, output); the mean over an empty neighbourhood is the
+    zero vector. The ReLU runs in place, so the backward reads its mask from
+    the output: output > 0 exactly where the pre-activation is."""
     agg = mean_aggregate(batch.adj, batch.slot, h)
     if msg_mode == MSG_NODES_EDGES:
         agg = np.concatenate([agg, batch.edge_mean], axis=1)
-    pre = h @ layer.w_self.T + agg @ layer.w_neigh.T + layer.bias
-    return agg, pre, np.maximum(pre, 0.0)
+    out = h @ layer.w_self.T
+    out += agg @ layer.w_neigh.T
+    out += layer.bias
+    return agg, np.maximum(out, 0.0, out=out)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -265,7 +277,8 @@ def heads_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validity probabilities (sigmoid) and raw class logits."""
     v_logit = (h @ valid_head.w.T + valid_head.b)[:, 0]
-    logits = h @ label_head.w.T + label_head.b
+    logits = h @ label_head.w.T
+    logits += label_head.b
     return sigmoid(v_logit), logits
 
 
@@ -273,20 +286,18 @@ def heads_forward(
 class ForwardCache:
     x: np.ndarray
     agg1: np.ndarray
-    pre1: np.ndarray
     h1: np.ndarray
     agg2: np.ndarray
-    pre2: np.ndarray
     h2: np.ndarray
     validity_prob: np.ndarray
     class_logits: np.ndarray
 
 
 def full_forward(params: ModelParams, batch: GraphBatch, msg_mode: str) -> ForwardCache:
-    agg1, pre1, h1 = _layer_forward(params.sage1, batch.x, batch, msg_mode)
-    agg2, pre2, h2 = _layer_forward(params.sage2, h1, batch, msg_mode)
+    agg1, h1 = _layer_forward(params.sage1, batch.x, batch, msg_mode)
+    agg2, h2 = _layer_forward(params.sage2, h1, batch, msg_mode)
     v_prob, logits = heads_forward(h2, params.valid_head, params.label_head)
-    return ForwardCache(batch.x, agg1, pre1, h1, agg2, pre2, h2, v_prob, logits)
+    return ForwardCache(batch.x, agg1, h1, agg2, h2, v_prob, logits)
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +316,24 @@ def ce_terms(class_logits: np.ndarray, label_gt: np.ndarray) -> np.ndarray:
     return log_z - shifted[np.arange(len(label_gt)), label_gt]
 
 
+def _ce_rows(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The CE weights and the rows that carry them; the label head's loss
+    and gradients are zero on every other row."""
+    if batch.ce_weights is None:
+        return batch.node_weights, slice(None)
+    return batch.ce_weights, np.flatnonzero(batch.ce_weights)
+
+
 def loss_components(
     cache: ForwardCache, batch: GraphBatch
 ) -> tuple[float, float]:
-    """(mean BCE, mean CE) under the batch's node weights."""
-    w = batch.node_weights
-    wc = batch.ce_weights if batch.ce_weights is not None else w
-    bce = float(w @ bce_terms(cache.validity_prob, batch.validity_gt))
-    ce = float(wc @ ce_terms(cache.class_logits, batch.label_gt))
-    return bce, ce
+    """(mean BCE, mean CE) under the batch's node weights. CE terms are
+    computed on the CE-weighted rows only; the other rows' weight is zero."""
+    bce = float(batch.node_weights @ bce_terms(cache.validity_prob, batch.validity_gt))
+    wc, rows = _ce_rows(batch)
+    terms = np.zeros(batch.n_nodes)
+    terms[rows] = ce_terms(cache.class_logits[rows], batch.label_gt[rows])
+    return bce, float(wc @ terms)
 
 
 # ---------------------------------------------------------------------------
@@ -327,60 +347,86 @@ def backward(
     msg_mode: str,
     lam_valid: float = 1.0,
     lam_label: float = 1.0,
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """Exact gradients of lam_valid * bce + lam_label * ce, the two terms of
     loss_components, for every parameter. Each neighbour receives 1/|N(i)|
-    of the upstream gradient through the mean aggregation."""
-    w = batch.node_weights
-    wc = batch.ce_weights if batch.ce_weights is not None else w
-    n = batch.n_nodes
+    of the upstream gradient through the mean aggregation.
+
+    Every gradient is written, never accumulated, into ``out`` (an
+    AdamState's ``grads``, views of its flat gradient buffer), or into a new
+    flat buffer. The label head's gradient comes from the CE-weighted rows
+    only."""
+    if out is None:
+        out = _views(params, np.empty(sum(arr.size for _, arr in param_items(params))))
+    w, n = batch.node_weights, batch.n_nodes
+    wc, rows = _ce_rows(batch)
 
     d_vlogit = lam_valid * w * (cache.validity_prob - batch.validity_gt)
-    probs = softmax(cache.class_logits)
-    d_logits = probs.copy()
-    d_logits[np.arange(n), batch.label_gt] -= 1.0
-    d_logits *= lam_label * wc[:, None]
+    np.matmul(d_vlogit[None, :], cache.h2, out=out.valid_head.w)
+    out.valid_head.b[0] = d_vlogit.sum()
 
-    g_valid = LinearHead(
-        w=d_vlogit[None, :] @ cache.h2, b=np.array([d_vlogit.sum()])
-    )
-    g_label = LinearHead(w=d_logits.T @ cache.h2, b=d_logits.sum(axis=0))
+    d_ce = softmax(cache.class_logits[rows])
+    d_ce[np.arange(d_ce.shape[0]), batch.label_gt[rows]] -= 1.0
+    d_ce *= lam_label * wc[rows][:, None]
+    np.matmul(d_ce.T, cache.h2[rows], out=out.label_head.w)
+    np.sum(d_ce, axis=0, out=out.label_head.b)
+    d_logits = np.zeros((n, d_ce.shape[1]))
+    d_logits[rows] = d_ce
 
-    d_h2 = d_vlogit[:, None] @ params.valid_head.w + d_logits @ params.label_head.w
+    # on all rows: the product over the CE rows alone can take another BLAS
+    # kernel, whose sums round differently
+    d_h2 = d_vlogit[:, None] @ params.valid_head.w
+    d_h2 += d_logits @ params.label_head.w
 
-    def layer_backward(d_out, pre, agg, h_in):
-        d_pre = d_out * (pre > 0.0)
-        g = SageLayer(
-            w_self=d_pre.T @ h_in,
-            w_neigh=d_pre.T @ agg,
-            bias=d_pre.sum(axis=0),
-        )
-        return g, d_pre
+    def layer_backward(d_out, h_out, agg, h_in, g):
+        d_pre = np.multiply(d_out, h_out > 0.0, out=d_out)
+        np.matmul(d_pre.T, h_in, out=g.w_self)
+        np.matmul(d_pre.T, agg, out=g.w_neigh)
+        np.sum(d_pre, axis=0, out=g.bias)
+        return d_pre
 
-    g_sage2, d_pre2 = layer_backward(d_h2, cache.pre2, cache.agg2, cache.h1)
+    d_pre2 = layer_backward(d_h2, cache.h2, cache.agg2, cache.h1, out.sage2)
     d_agg2 = d_pre2 @ params.sage2.w_neigh
-    d_h1 = d_pre2 @ params.sage2.w_self + mean_aggregate(
-        batch.adj.transpose(0, 2, 1), batch.slot, d_agg2[:, :cache.h1.shape[1]]
+    d_h1 = d_pre2 @ params.sage2.w_self
+    d_h1 += mean_aggregate(
+        np.ascontiguousarray(batch.adj.transpose(0, 2, 1)), batch.slot,
+        d_agg2[:, :cache.h1.shape[1]],
     )
     # the input features take no gradient, so layer 1 stops at its weights
-    g_sage1, _ = layer_backward(d_h1, cache.pre1, cache.agg1, cache.x)
-
-    return ModelParams(
-        sage1=g_sage1, sage2=g_sage2, valid_head=g_valid, label_head=g_label
-    )
+    layer_backward(d_h1, cache.h1, cache.agg1, cache.x, out.sage1)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 
 
+def _views(params: ModelParams, flat: np.ndarray) -> ModelParams:
+    """A model shaped like ``params`` whose tensors are consecutive views of
+    ``flat``, in PARAM_FIELDS order."""
+    views, offset = [], 0
+    for _, arr in param_items(params):
+        views.append(flat[offset: offset + arr.size].reshape(arr.shape))
+        offset += arr.size
+    return ModelParams(
+        sage1=SageLayer(*views[0:3]),
+        sage2=SageLayer(*views[3:6]),
+        valid_head=LinearHead(*views[6:8]),
+        label_head=LinearHead(*views[8:10]),
+    )
+
+
 @dataclass
 class AdamState:
-    """Adam over one flat float64 buffer: ``params``, ``m`` and ``v`` each
-    hold every tensor in PARAM_FIELDS order. for_params rebinds the model's
-    arrays to views of ``params``, so one step updates them all."""
+    """Adam over flat float64 buffers: ``params``, ``grad``, ``m`` and ``v``
+    each hold every tensor in PARAM_FIELDS order. for_params rebinds the
+    model's arrays to views of ``params``, so one step updates them all;
+    ``grads`` views ``grad``, for backward to write into."""
 
     params: np.ndarray
+    grad: np.ndarray
+    grads: ModelParams
     m: np.ndarray
     v: np.ndarray
     lr: float = 0.001
@@ -389,36 +435,51 @@ class AdamState:
     eps: float = 1e-8
     t: int = 0
 
+    def __post_init__(self) -> None:
+        # the step's two scratch vectors
+        self._num = np.empty_like(self.params)
+        self._den = np.empty_like(self.params)
+
     @classmethod
     def for_params(cls, params: ModelParams, lr: float = 0.001, **kw) -> "AdamState":
-        flat = _flatten(params)
-        offset = 0
-        for name, arr in param_items(params):
-            set_param(params, name, flat[offset: offset + arr.size].reshape(arr.shape))
-            offset += arr.size
-        return cls(params=flat, m=np.zeros_like(flat), v=np.zeros_like(flat), lr=lr, **kw)
-
-
-def _flatten(params: ModelParams) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, arr in param_items(params)], dtype=np.float64)
+        flat = np.concatenate([arr.ravel() for _, arr in param_items(params)], dtype=np.float64)
+        for name, view in param_items(_views(params, flat)):
+            set_param(params, name, view)
+        grad = np.zeros_like(flat)
+        return cls(
+            params=flat, grad=grad, grads=_views(params, grad),
+            m=np.zeros_like(flat), v=np.zeros_like(flat), lr=lr, **kw,
+        )
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None:
     """In-place bias-corrected Adam update of ``params``, the model that
     ``state`` was made for; a non-finite gradient raises before anything
-    changes."""
+    changes. ``state.grads`` is read where backward wrote it; other
+    gradients are first copied into ``state.grad``."""
     if any(arr.base is not state.params for _, arr in param_items(params)):
         raise ValueError("params are not the model this AdamState was made for")
-    g = _flatten(grads)
+    g = state.grad
+    if grads is not state.grads:
+        np.concatenate([arr.ravel() for _, arr in param_items(grads)], out=g)
     if not np.isfinite(g).all():
         name = next(n for n, arr in param_items(grads) if not np.isfinite(arr).all())
         raise NumericalError(f"non-finite gradient in {name}")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    m, v = state.m, state.v
+    m, v, num, den = state.m, state.v, state._num, state._den
+    # the operations, in order, of
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+    # params -= lr (m / bc1) / (sqrt(v / bc2) + eps)
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    m += np.multiply(g, 1.0 - state.beta1, out=num)
     v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    state.params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    np.multiply(g, 1.0 - state.beta2, out=num)
+    v += np.multiply(num, g, out=num)
+    np.divide(m, bc1, out=num)
+    num *= state.lr
+    np.divide(v, bc2, out=den)
+    np.sqrt(den, out=den)
+    den += state.eps
+    state.params -= np.divide(num, den, out=num)

@@ -125,7 +125,8 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
             grads = nn.backward(
-                params, cache, batch, config.msg_mode, config.lam_valid, config.lam_label
+                params, cache, batch, config.msg_mode, config.lam_valid, config.lam_label,
+                out=state.grads,
             )
             nn.adam_step(params, grads, state)
             epoch_losses.append(loss)

@@ -152,8 +152,9 @@ class TestPredict:
 class TestBatchedPredict:
     def test_many_graphs_equal_per_graph_predictions(self):
         # chunk boundaries fall between graphs, one graph exceeds the node cap
-        # and one single-node graph sits inside a chunk
-        sizes = [30, 20, 1, 25, PREDICT_CHUNK_NODES + 6, 10, 40, 3]
+        # and one single-node graph sits inside a chunk, whatever the cap
+        c = PREDICT_CHUNK_NODES
+        sizes = [c // 2, c // 3, 1, c // 2, c + 6, c // 6, c // 2, 3]
         cfg = ModelConfig(n_classes=6, hidden_dim=8, seed=4)
         params = init_model(cfg)
         graphs = [fixed_graph(n=n, k=3, seed=i) for i, n in enumerate(sizes)]

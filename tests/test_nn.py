@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -43,7 +44,7 @@ def loss_of(params, batch, msg_mode, lam_v=1.0, lam_l=1.0):
 def sage_layer(layer, x, graph, msg_mode):
     """One GraphSAGE layer on one graph, through the batched path."""
     batch = nn.make_batch([graph], "scalar")
-    return nn._layer_forward(layer, x, batch, msg_mode)[2]
+    return nn._layer_forward(layer, x, batch, msg_mode)[1]
 
 
 def finite_difference_check(params, batch, msg_mode, lam_v=1.0, lam_l=1.0, step=1e-5):
@@ -218,6 +219,42 @@ class TestBackward:
         for (_, a), (_, b) in zip(nn.param_items(g1), nn.param_items(g2)):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
+    def test_reused_gradient_buffer_equals_fresh_buffer(self):
+        # backward must overwrite every gradient, never add to what a
+        # previous batch left in the buffer
+        rng = np.random.default_rng(16)
+        mode = nn.MSG_NODES_EDGES
+        params = nn.init_params(5, 8, N_CLASSES, mode, rng)
+        state = nn.AdamState.for_params(params)
+        other = nn.make_batch([random_graph(n, rng) for n in (7, 3)], "scalar")
+        nn.backward(params, nn.full_forward(params, other, mode), other, mode, out=state.grads)
+        assert np.count_nonzero(state.grad) > state.grad.size // 2
+        batch = nn.make_batch([random_graph(n, rng) for n in (5, 4, 1)], "scalar")
+        batch.ce_weights = batch.node_weights * ~batch.validity_gt
+        cache = nn.full_forward(params, batch, mode)
+        reused = nn.backward(params, cache, batch, mode, 1.0, 2.0, out=state.grads)
+        fresh = nn.backward(params, cache, batch, mode, 1.0, 2.0)
+        assert reused is state.grads
+        for (name, a), (_, b) in zip(nn.param_items(reused), nn.param_items(fresh)):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("msg_mode", [nn.MSG_NODES, nn.MSG_NODES_EDGES])
+    def test_batch_without_ce_weighted_nodes(self, msg_mode):
+        rng = np.random.default_rng(17)
+        params = nn.init_params(5, 8, N_CLASSES, msg_mode, rng)
+        batch = nn.make_batch([random_graph(n, rng) for n in (5, 3)], "scalar")
+        batch.ce_weights = np.zeros(batch.n_nodes)
+        state = nn.AdamState.for_params(params)
+        state.grad.fill(1.0)  # stale values the label head must overwrite
+        grads = nn.backward(
+            params, nn.full_forward(params, batch, msg_mode), batch, msg_mode, 1.0, 2.0,
+            out=state.grads,
+        )
+        np.testing.assert_array_equal(grads.label_head.w, 0.0)
+        np.testing.assert_array_equal(grads.label_head.b, 0.0)
+        assert np.any(grads.sage1.w_self != 0.0)
+        assert finite_difference_check(params, batch, msg_mode, 1.0, 2.0) < 1e-4
+
 
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
@@ -265,7 +302,9 @@ class TestAdam:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_non_finite_gradient_aborts(self):
-        for bad in ("sage1.bias", "label_head.b"):
+        # gradients of their own, or written into the state's buffer as
+        # backward writes them in training
+        for bad, in_state in itertools.product(("sage1.bias", "label_head.b"), (False, True)):
             rng = np.random.default_rng(10)
             params = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
             grads = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
@@ -273,6 +312,10 @@ class TestAdam:
             nn.adam_step(params, grads, state)  # non-zero moments to protect
             before = {n: a.copy() for n, a in nn.param_items(params)}
             m, v = state.m.copy(), state.v.copy()
+            if in_state:
+                for (_, dst), (_, src) in zip(nn.param_items(state.grads), nn.param_items(grads)):
+                    dst[...] = src
+                grads = state.grads
             dict(nn.param_items(grads))[bad][0] = np.nan
             with pytest.raises(nn.NumericalError, match=bad):
                 nn.adam_step(params, grads, state)
@@ -281,6 +324,31 @@ class TestAdam:
             np.testing.assert_array_equal(state.m, m)
             np.testing.assert_array_equal(state.v, v)
             assert state.t == 1
+
+    def test_in_place_step_equals_one_line_update(self):
+        # oracle: the update as one expression per moment and per parameter
+        rng = np.random.default_rng(18)
+        params = nn.init_params(5, 4, 3, nn.MSG_NODES_EDGES, rng)
+        state = nn.AdamState.for_params(params, lr=0.01)
+        p, m, v = state.params.copy(), np.zeros_like(state.params), np.zeros_like(state.params)
+        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        for t in range(1, 51):
+            grads = nn.init_params(5, 4, 3, nn.MSG_NODES_EDGES, rng)
+            for _, arr in nn.param_items(grads):
+                arr *= 10.0 ** rng.integers(-8, 3)
+            if t % 2:  # every other step through the state's own buffer
+                for (_, dst), (_, src) in zip(nn.param_items(state.grads), nn.param_items(grads)):
+                    dst[...] = src
+                grads = state.grads
+            g = np.concatenate([arr.ravel() for _, arr in nn.param_items(grads)])
+            nn.adam_step(params, grads, state)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert state.t == t
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
+            assert state.params.tobytes() == p.tobytes()
 
     def test_params_of_another_model_rejected(self):
         rng = np.random.default_rng(11)
