@@ -68,8 +68,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--msg-mode", default="nodes+edges", choices=["nodes", "nodes+edges"])
-    p.add_argument("--label-encoding", default="onehot", choices=["scalar", "onehot"])
     p.add_argument("--out", required=True, help="checkpoint path")
 
     p = sub.add_parser("eval", help="node-level metrics on a corrupted test set")
@@ -162,8 +160,6 @@ def _cmd_train(args) -> dict:
         epochs=args.epochs,
         lr=args.lr,
         batch_size=args.batch,
-        msg_mode=args.msg_mode,
-        label_encoding=args.label_encoding,
         seed=args.seed,
     )
     train_frames, val_frames, _ = split_dataset(dataset.frames, seed=args.seed)

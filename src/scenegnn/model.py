@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import nn
-from .nn import ModelParams, PARAM_FIELDS, param_items
+from .nn import ModelParams, param_items, set_param
 from .scenegraph import SceneGraph, check_k
 
 CHECKPOINT_MAGIC = b"#scenegnn-checkpoint\n"
@@ -52,8 +52,6 @@ class ModelConfig:
     hidden_dim: int = 64
     k: int | str = 5  # neighbourhood size or "all"
     rho: int = 1  # anomaly ratio used when building training data
-    label_encoding: str = "onehot"  # scalar | onehot
-    msg_mode: str = nn.MSG_NODES_EDGES  # nodes | nodes+edges
     lam_valid: float = 1.0
     lam_label: float = 2.0
     validity_threshold: float = 0.5
@@ -61,7 +59,6 @@ class ModelConfig:
     epochs: int = 30
     batch_size: int = 16
     jitter_sigma: float = 0.01
-    ce_invalid_only: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -78,23 +75,18 @@ class ModelConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.label_encoding not in ("scalar", "onehot"):
-            raise ValueError(f"unknown label_encoding {self.label_encoding!r}")
-        if self.msg_mode not in (nn.MSG_NODES, nn.MSG_NODES_EDGES):
-            raise ValueError(f"unknown msg_mode {self.msg_mode!r}")
         self.k = check_k(self.k)
 
     @property
     def input_dim(self) -> int:
-        return 5 if self.label_encoding == "scalar" else 4 + self.n_classes
+        """One-hot label plus the four box features."""
+        return self.n_classes + 4
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator | None = None) -> ModelParams:
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    return nn.init_params(
-        config.input_dim, config.hidden_dim, config.n_classes, config.msg_mode, rng
-    )
+    return nn.init_params(config.input_dim, config.hidden_dim, config.n_classes, rng)
 
 
 def _check_compatible(store: nn.PackedGraphs, config: ModelConfig) -> None:
@@ -143,8 +135,7 @@ def predict(
     _check_compatible(store, config)
     parts = []
     for chunk in chunked(range(len(store)), store.graph_nodes.__getitem__):
-        batch = nn.make_batch(store, config.label_encoding, chunk)
-        cache = nn.full_forward(params, batch, config.msg_mode)
+        cache = nn.full_forward(params, nn.make_batch(store, chunk))
         class_probs = nn.softmax(cache.class_logits)
         parts.append((
             cache.validity_prob,
@@ -203,6 +194,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """The checkpoint at ``path``; a file that is not one that save_checkpoint
+    could have written raises a CheckpointError naming the path."""
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(CHECKPOINT_MAGIC):
@@ -215,47 +208,56 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(rest[: nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointFormatError(f"{path}: header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"{path}: format_version {header.get('format_version')!r}, "
             f"expected {CHECKPOINT_VERSION}"
         )
+    fields = header.get("config")
+    if not isinstance(fields, dict):
+        raise CheckpointFormatError(f"{path}: config is not a JSON object")
+    # options that older checkpoints record: each reads only at the one value
+    # the network still has
+    for key, supported in (
+        ("label_encoding", "onehot"), ("msg_mode", "nodes+edges"), ("ce_invalid_only", True)
+    ):
+        value = fields.pop(key, supported)
+        if type(value) is not type(supported) or value != supported:
+            raise CheckpointFormatError(
+                f"{path}: {key} {value!r} is not supported, only {supported!r}"
+            )
     try:
-        config = ModelConfig(**header["config"])
-    except (TypeError, KeyError, ValueError) as exc:
+        config = ModelConfig(**fields)
+    except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: bad config: {exc}") from exc
 
-    expected_names = [f"{o}.{a}" for o, a in PARAM_FIELDS]
+    params = init_model(config)
+    items = param_items(params)
     tensors = header.get("tensors", [])
-    if [t.get("name") for t in tensors] != expected_names:
+    if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
+        raise CheckpointFormatError(f"{path}: tensors is not a list of JSON objects")
+    if [t.get("name") for t in tensors] != [name for name, _ in items]:
         raise CheckpointDimensionError(f"{path}: unexpected tensor list")
 
     body = rest[nl + 1:]
-    arrays = {}
     offset = 0
-    for t in tensors:
-        shape = tuple(int(s) for s in t["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        chunk = body[offset: offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointFormatError(f"{path}: truncated parameter block {t['name']}")
-        arrays[t["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(body):
-        raise CheckpointFormatError(f"{path}: trailing bytes after parameters")
-
-    params = init_model(config)
-    for (obj, attr), name in zip(PARAM_FIELDS, expected_names):
-        current = getattr(getattr(params, obj), attr)
-        loaded = arrays[name]
-        if loaded.shape != current.shape:
+    for t, (name, current) in zip(tensors, items):
+        if t.get("shape") != list(current.shape):
             raise CheckpointDimensionError(
-                f"{path}: {name} has shape {loaded.shape}, expected {current.shape}"
+                f"{path}: {name} has shape {t.get('shape')}, expected {list(current.shape)}"
             )
+        chunk = body[offset: offset + current.nbytes]
+        if len(chunk) != current.nbytes:
+            raise CheckpointFormatError(f"{path}: truncated parameter block {name}")
+        loaded = np.frombuffer(chunk, dtype="<f8").reshape(current.shape).copy()
         if not np.all(np.isfinite(loaded)):
             raise CheckpointFormatError(f"{path}: non-finite values in {name}")
-        setattr(getattr(params, obj), attr, loaded)
+        set_param(params, name, loaded)
+        offset += current.nbytes
+    if offset != len(body):
+        raise CheckpointFormatError(f"{path}: trailing bytes after parameters")
     return Checkpoint(
         config=config,
         params=params,

@@ -23,9 +23,6 @@ import numpy as np
 
 from .scenegraph import SceneGraph, normalize_edge_column
 
-MSG_NODES = "nodes"
-MSG_NODES_EDGES = "nodes+edges"
-
 LOG_EPS = 1e-12
 
 
@@ -94,20 +91,19 @@ def init_params(
     in_dim: int,
     hidden_dim: int,
     n_classes: int,
-    msg_mode: str,
     rng: np.random.Generator,
-    edge_dim: int = 6,
 ) -> ModelParams:
-    e = edge_dim if msg_mode == MSG_NODES_EDGES else 0
+    """Each layer's ``w_neigh`` reads the neighbour mean of its input, then
+    the 6 columns of ``GraphBatch.edge_mean``."""
     return ModelParams(
         sage1=SageLayer(
             w_self=_glorot(rng, hidden_dim, in_dim),
-            w_neigh=_glorot(rng, hidden_dim, in_dim + e),
+            w_neigh=_glorot(rng, hidden_dim, in_dim + 6),
             bias=np.zeros(hidden_dim),
         ),
         sage2=SageLayer(
             w_self=_glorot(rng, hidden_dim, hidden_dim),
-            w_neigh=_glorot(rng, hidden_dim, hidden_dim + e),
+            w_neigh=_glorot(rng, hidden_dim, hidden_dim + 6),
             bias=np.zeros(hidden_dim),
         ),
         valid_head=LinearHead(w=_glorot(rng, 1, hidden_dim), b=np.zeros(1)),
@@ -123,14 +119,14 @@ def init_params(
 class GraphBatch:
     """Disjoint union of scene graphs prepared for forward/backward passes."""
 
-    x: np.ndarray  # N x F node inputs
+    x: np.ndarray  # N x (C + 4): one-hot current label, then cx, cy, w, h
     adj: np.ndarray = field(repr=False)  # G x M x M, 1/|N(i)| at each neighbour j of i
     slot: np.ndarray = field(repr=False)  # N, each node's row g * M + i of the padded stack
     edge_mean: np.ndarray  # N x 6 mean normalized feature of each node's out-edges
     validity_gt: np.ndarray  # N bools
     label_gt: np.ndarray  # N ints (original labels)
     node_weights: np.ndarray  # per-node loss weights
-    ce_weights: np.ndarray | None = None  # overrides node_weights for the CE term
+    ce_weights: np.ndarray  # CE weights: node_weights on corrupted nodes, else 0
 
     @property
     def n_nodes(self) -> int:
@@ -195,11 +191,11 @@ class PackedGraphs:
 
 def make_batch(
     graphs: list[SceneGraph] | PackedGraphs,
-    label_encoding: str,
     ids: Sequence[int] | np.ndarray | None = None,
 ) -> GraphBatch:
     """Union of graphs ``ids`` (default: all) of ``graphs``; node losses are
-    averaged within each graph and then across graphs.
+    averaged within each graph and then across graphs, and CE is weighted on
+    corrupted nodes only.
 
     A list of graphs is packed first. Graph g of the batch gets block
     ``adj[g]``, zero-padded to the largest graph's M nodes, and node i of it
@@ -220,21 +216,21 @@ def make_batch(
     bounds = zip(store.edge_start[ids].tolist(), store.edge_start[ids + 1].tolist())
     cell += np.concatenate([store.neighbour[:0], *(store.neighbour[a:b] for a, b in bounds)])
     adj.reshape(-1)[cell] = np.repeat(1.0 / np.maximum(deg, 1), deg)
-    if label_encoding == "onehot":
-        nc = store.n_classes
-        x = np.zeros((n, nc + 4))
-        x[np.arange(n), store.current_labels[node]] = 1.0
-        x[:, nc:] = store.node_features[node, 1:]
-    else:
-        x = store.node_features[node]
+    nc = store.n_classes
+    x = np.zeros((n, nc + 4))
+    x[np.arange(n), store.current_labels[node]] = 1.0
+    x[:, nc:] = store.node_features[node]
+    validity = store.validity[node]
+    weights = np.repeat(1.0 / (sizes * len(sizes)), sizes)
     return GraphBatch(
         x=x,
         adj=adj.reshape(len(ids), m, m),
         slot=slot,
         edge_mean=store.edge_mean[node],
-        validity_gt=store.validity[node],
+        validity_gt=validity,
         label_gt=store.original_labels[node],
-        node_weights=np.repeat(1.0 / (sizes * len(sizes)), sizes),
+        node_weights=weights,
+        ce_weights=weights * ~validity,
     )
 
 
@@ -243,14 +239,13 @@ def make_batch(
 
 
 def _layer_forward(
-    layer: SageLayer, h: np.ndarray, batch: GraphBatch, msg_mode: str
+    layer: SageLayer, h: np.ndarray, batch: GraphBatch
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (agg, output); the mean over an empty neighbourhood is the
-    zero vector. The ReLU runs in place, so the backward reads its mask from
+    """Returns (agg, output). agg is each node's neighbour mean of ``h``,
+    the zero vector over an empty neighbourhood, then the mean feature of its
+    out-edges. The ReLU runs in place, so the backward reads its mask from
     the output: output > 0 exactly where the pre-activation is."""
-    agg = mean_aggregate(batch.adj, batch.slot, h)
-    if msg_mode == MSG_NODES_EDGES:
-        agg = np.concatenate([agg, batch.edge_mean], axis=1)
+    agg = np.concatenate([mean_aggregate(batch.adj, batch.slot, h), batch.edge_mean], axis=1)
     out = h @ layer.w_self.T
     out += agg @ layer.w_neigh.T
     out += layer.bias
@@ -293,9 +288,9 @@ class ForwardCache:
     class_logits: np.ndarray
 
 
-def full_forward(params: ModelParams, batch: GraphBatch, msg_mode: str) -> ForwardCache:
-    agg1, h1 = _layer_forward(params.sage1, batch.x, batch, msg_mode)
-    agg2, h2 = _layer_forward(params.sage2, h1, batch, msg_mode)
+def full_forward(params: ModelParams, batch: GraphBatch) -> ForwardCache:
+    agg1, h1 = _layer_forward(params.sage1, batch.x, batch)
+    agg2, h2 = _layer_forward(params.sage2, h1, batch)
     v_prob, logits = heads_forward(h2, params.valid_head, params.label_head)
     return ForwardCache(batch.x, agg1, h1, agg2, h2, v_prob, logits)
 
@@ -316,21 +311,14 @@ def ce_terms(class_logits: np.ndarray, label_gt: np.ndarray) -> np.ndarray:
     return log_z - shifted[np.arange(len(label_gt)), label_gt]
 
 
-def _ce_rows(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray | slice]:
-    """The CE weights and the rows that carry them; the label head's loss
-    and gradients are zero on every other row."""
-    if batch.ce_weights is None:
-        return batch.node_weights, slice(None)
-    return batch.ce_weights, np.flatnonzero(batch.ce_weights)
-
-
 def loss_components(
     cache: ForwardCache, batch: GraphBatch
 ) -> tuple[float, float]:
-    """(mean BCE, mean CE) under the batch's node weights. CE terms are
-    computed on the CE-weighted rows only; the other rows' weight is zero."""
+    """(mean BCE, mean CE): BCE under the batch's node weights, CE under its
+    CE weights. CE terms are computed on the CE-weighted rows only; the other
+    rows' weight is zero."""
     bce = float(batch.node_weights @ bce_terms(cache.validity_prob, batch.validity_gt))
-    wc, rows = _ce_rows(batch)
+    wc, rows = batch.ce_weights, np.flatnonzero(batch.ce_weights)
     terms = np.zeros(batch.n_nodes)
     terms[rows] = ce_terms(cache.class_logits[rows], batch.label_gt[rows])
     return bce, float(wc @ terms)
@@ -344,7 +332,6 @@ def backward(
     params: ModelParams,
     cache: ForwardCache,
     batch: GraphBatch,
-    msg_mode: str,
     lam_valid: float = 1.0,
     lam_label: float = 1.0,
     out: ModelParams | None = None,
@@ -360,7 +347,7 @@ def backward(
     if out is None:
         out = _views(params, np.empty(sum(arr.size for _, arr in param_items(params))))
     w, n = batch.node_weights, batch.n_nodes
-    wc, rows = _ce_rows(batch)
+    wc, rows = batch.ce_weights, np.flatnonzero(batch.ce_weights)
 
     d_vlogit = lam_valid * w * (cache.validity_prob - batch.validity_gt)
     np.matmul(d_vlogit[None, :], cache.h2, out=out.valid_head.w)

@@ -35,7 +35,7 @@ class Frame:
 class SceneGraph:
     """Graph view of one frame; node order follows the frame's object order."""
 
-    node_features: np.ndarray  # N x F
+    node_features: np.ndarray  # N x 4: x_center, y_center, w, h
     edges: np.ndarray  # E x 2 (src, dst), directed
     edge_features: np.ndarray  # E x 6, raw pairwise geometry per directed edge
     validity: np.ndarray  # N bools, True = unmodified
@@ -84,8 +84,8 @@ def knn_edges(centers: np.ndarray, k: KOrAll) -> np.ndarray:
 
 
 def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
-    """Node features [label/(n_classes-1), x_center, y_center, w, h], k-NN
-    edges and per-edge geometry, all read from one N x 4 box array."""
+    """Node features [x_center, y_center, w, h], k-NN edges and per-edge
+    geometry, all read from one N x 4 box array."""
     if len(frame.objects) == 0:
         raise ValueError(f"frame {frame.frame_id!r} has no objects")
     if n_classes < 2:
@@ -97,9 +97,7 @@ def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
     bboxes = [o.bbox for o in frame.objects]
     boxes = np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in bboxes], dtype=np.float64)
     centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
-    node_features = np.column_stack(
-        [labels / (n_classes - 1), centers, boxes[:, 2:] - boxes[:, :2]]
-    )
+    node_features = np.column_stack([centers, boxes[:, 2:] - boxes[:, :2]])
     edges = knn_edges(centers, k)
     # streamed, so that no per-edge Python tuples are held at once
     pairs = zip(edges[:, 0].tolist(), edges[:, 1].tolist())
@@ -120,24 +118,12 @@ def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
 
 
 def normalize_edge_column(column: np.ndarray, c: int) -> np.ndarray:
-    """Values ``column`` of edge feature ``c``, scaled as
-    ``normalize_edge_features`` scales that feature. The input is not
-    modified."""
+    """Values ``column`` of raw edge feature ``c``, scaled to enter a
+    learned layer: the angle (c = 3) is mapped to (-1, 1] and the unbounded,
+    never negative size ratio (c = 5) is squashed with log1p; the other
+    components are already within [-1, sqrt(2)]. The input is not modified."""
     if c == 3:
         return column / 180.0
     if c == 5:
         return np.log1p(column)
     return column
-
-
-def normalize_edge_features(edge_features: np.ndarray) -> np.ndarray:
-    """Scale raw edge features before they enter a learned layer.
-
-    Angle is mapped to (-1, 1] and the unbounded, never negative size ratio
-    is squashed with log1p; the other components are already within
-    [-1, sqrt(2)]. The input is not modified.
-    """
-    out = edge_features.copy()
-    out[:, 3] /= 180.0
-    np.log1p(out[:, 5], out=out[:, 5])
-    return out

@@ -91,7 +91,8 @@ def train(
     """Fixed-epoch Adam training; returns (final, best-validation, history).
 
     Mini-batches are whole graphs; per-graph node-mean losses are averaged
-    within each batch. Both sets are packed once, and every batch is
+    within each batch, and the label head's CE is weighted on corrupted
+    nodes only. Both sets are packed once, and every batch is
     gathered from the packed set. Without a validation set the best
     checkpoint is the final one.
     """
@@ -114,10 +115,8 @@ def train(
         epoch_losses, epoch_bce, epoch_ce = [], [], []
         for start in range(0, n, config.batch_size):
             ids = order[start: start + config.batch_size]
-            batch = nn.make_batch(train_set, config.label_encoding, ids)
-            if config.ce_invalid_only:
-                batch.ce_weights = batch.node_weights * ~batch.validity_gt
-            cache = nn.full_forward(params, batch, config.msg_mode)
+            batch = nn.make_batch(train_set, ids)
+            cache = nn.full_forward(params, batch)
             bce, ce = nn.loss_components(cache, batch)
             loss = config.lam_valid * bce + config.lam_label * ce
             if not np.isfinite(loss):
@@ -125,8 +124,7 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
             grads = nn.backward(
-                params, cache, batch, config.msg_mode, config.lam_valid, config.lam_label,
-                out=state.grads,
+                params, cache, batch, config.lam_valid, config.lam_label, out=state.grads
             )
             nn.adam_step(params, grads, state)
             epoch_losses.append(loss)

@@ -153,17 +153,14 @@ def test_criterion_1_gradient_oracle():
         g = build_graph(Frame("g", tuple(objs)), 3, 10)
         g.validity = rng.random(n) > 0.4
         g.original_labels = rng.integers(0, 10, n)
-        msg_mode = nn.MSG_NODES if trial % 2 == 0 else nn.MSG_NODES_EDGES
-        config = ModelConfig(
-            n_classes=10, hidden_dim=8, msg_mode=msg_mode, label_encoding="scalar"
-        )
+        config = ModelConfig(n_classes=10, hidden_dim=8)
         params = init_model(config, rng)
-        batch = nn.make_batch([g], label_encoding="scalar")
-        cache = nn.full_forward(params, batch, msg_mode)
-        grads = nn.backward(params, cache, batch, msg_mode, 1.0, 1.0)
+        batch = nn.make_batch([g])
+        cache = nn.full_forward(params, batch)
+        grads = nn.backward(params, cache, batch, 1.0, 1.0)
 
         def loss():
-            bce, ce = nn.loss_components(nn.full_forward(params, batch, msg_mode), batch)
+            bce, ce = nn.loss_components(nn.full_forward(params, batch), batch)
             return bce + ce  # lam_valid = lam_label = 1.0, as passed to backward
 
         step = 1e-5

@@ -16,7 +16,7 @@ from scenegnn.cli import EXIT_INPUT, EXIT_OK, main
 from scenegnn.dataio import parse_detections, parse_frames, write_detections, write_frames
 from scenegnn.geometry import BoundingBox
 from scenegnn.metrics import Detection
-from scenegnn.model import ModelConfig, init_model, save_checkpoint
+from scenegnn.model import CHECKPOINT_MAGIC, ModelConfig, init_model, save_checkpoint
 from scenegnn.scenegraph import Frame, SceneObject
 from scenegnn.dataio import FrameDataset, FrameRecord
 
@@ -233,6 +233,35 @@ class TestCorrectCommand:
         )
         assert code == EXIT_INPUT
         assert message in err
+        assert not out_path.exists()
+
+
+class TestCheckpointInput:
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("[1, 2]", "header is not a JSON object"),
+            ('{"format_version": 1, "config": {}, "tensors": [1, 2]}',
+             "tensors is not a list of JSON objects"),
+            ('{"format_version": 1, "config": {"label_encoding": "scalar"}, "tensors": []}',
+             "label_encoding 'scalar' is not supported"),
+        ],
+        ids=["header", "tensors-entry", "older-option"],
+    )
+    def test_bad_header_exits_1(self, capsys, tmp_path, header, message):
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + header.encode() + b"\n")
+        frames = _small_gt(str(tmp_path / "gt.jsonl"))
+        det_path = str(tmp_path / "dets.jsonl")
+        write_detections(det_path, [Detection("f0", 0, frames[0].objects[0].bbox, 0.9)])
+        out_path = tmp_path / "fixed.jsonl"
+        code, out, err = _run(
+            capsys,
+            ["correct", "--detections", det_path, "--checkpoint", str(ckpt),
+             "--out", str(out_path)],
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert message in err and "internal error" not in err
         assert not out_path.exists()
 
 

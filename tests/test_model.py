@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scenegnn import nn
 from scenegnn.geometry import BoundingBox
 from scenegnn.model import (
+    CHECKPOINT_MAGIC,
     PREDICT_CHUNK_NODES,
     CheckpointDimensionError,
     CheckpointFormatError,
@@ -18,7 +20,9 @@ from scenegnn.model import (
     predict,
     save_checkpoint,
 )
-from scenegnn.scenegraph import Frame, SceneObject, build_graph, normalize_edge_features
+from scenegnn.scenegraph import Frame, SceneObject, build_graph
+
+from oracles import normalize_edge_features
 
 
 def fixed_graph(n=4, n_classes=6, k=2, seed=0):
@@ -36,9 +40,20 @@ def fixed_graph(n=4, n_classes=6, k=2, seed=0):
     return build_graph(Frame("fixed", tuple(objs)), k, n_classes)
 
 
+def edit_header(path, edit):
+    """Replace the JSON header of the checkpoint at ``path`` by
+    ``edit(header)``, written as save_checkpoint writes headers."""
+    blob = Path(path).read_bytes()
+    nl = blob.index(b"\n", len(CHECKPOINT_MAGIC))
+    header = edit(json.loads(blob[len(CHECKPOINT_MAGIC): nl]))
+    Path(path).write_bytes(
+        CHECKPOINT_MAGIC + json.dumps(header, sort_keys=True).encode() + blob[nl:]
+    )
+
+
 class TestModelForward:
     def test_zero_heads_give_half_and_uniform(self):
-        cfg = ModelConfig(n_classes=6, hidden_dim=8, label_encoding="scalar")
+        cfg = ModelConfig(n_classes=6, hidden_dim=8)
         params = init_model(cfg)
         params.valid_head.w[:] = 0.0
         params.valid_head.b[:] = 0.0
@@ -63,14 +78,14 @@ class TestModelForward:
 
     def test_reference_straight_line_evaluation(self):
         # independent re-implementation with plain loops over edges
-        cfg = ModelConfig(n_classes=6, hidden_dim=8, label_encoding="scalar", seed=11)
+        cfg = ModelConfig(n_classes=6, hidden_dim=8, seed=11)
         params = init_model(cfg)
         g = fixed_graph(seed=3)
         p = predict([g], params, cfg)
-        cache = nn.full_forward(params, nn.make_batch([g], "scalar"), cfg.msg_mode)
+        cache = nn.full_forward(params, nn.make_batch([g]))
         probs = nn.softmax(cache.class_logits)
 
-        x = g.node_features
+        x = np.hstack([np.eye(6)[g.current_labels], g.node_features])
         ef = normalize_edge_features(g.edge_features)
         def layer(h, lay):
             out = np.zeros((g.n_nodes, lay.bias.size))
@@ -231,39 +246,23 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
-        import json
-
-        from scenegnn.model import CHECKPOINT_MAGIC
-
         cfg = ModelConfig(n_classes=6, hidden_dim=8)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(init_model(cfg), cfg, path)
-        blob = Path(path).read_bytes()
-        nl = blob.index(b"\n", len(CHECKPOINT_MAGIC))
-        header = json.loads(blob[len(CHECKPOINT_MAGIC): nl])
-        header["format_version"] = 99
-        Path(path).write_bytes(
-            CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + blob[nl + 1:]
-        )
+        edit_header(path, lambda h: {**h, "format_version": 99})
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(path)
 
     def test_dimension_mismatch(self, tmp_path):
-        import json
-
-        from scenegnn.model import CHECKPOINT_MAGIC
-
         cfg = ModelConfig(n_classes=6, hidden_dim=8)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(init_model(cfg), cfg, path)
-        blob = Path(path).read_bytes()
-        nl = blob.index(b"\n", len(CHECKPOINT_MAGIC))
-        header = json.loads(blob[len(CHECKPOINT_MAGIC): nl])
-        header["tensors"][0]["shape"] = [3, 3]
-        body = blob[nl + 1:]
-        Path(path).write_bytes(
-            CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + body
-        )
+
+        def first_tensor_3x3(header):
+            header["tensors"][0]["shape"] = [3, 3]
+            return header
+
+        edit_header(path, first_tensor_3x3)
         with pytest.raises((CheckpointDimensionError, CheckpointFormatError)):
             load_checkpoint(path)
 
@@ -276,6 +275,70 @@ class TestCheckpoint:
             predict([fixed_graph(n_classes=10)], ckpt.params, ckpt.config)
 
 
+# the three options that checkpoints written before their removal record, at
+# the values those checkpoints were trained with
+LEGACY_OPTIONS = {"label_encoding": "onehot", "msg_mode": "nodes+edges", "ce_invalid_only": True}
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: [1, 2], "header is not a JSON object"),
+            (lambda h: {**h, "config": [1, 2]}, "config is not a JSON object"),
+            (lambda h: {"format_version": 1, "config": {}, "tensors": [1, 2]},
+             "tensors is not a list of JSON objects"),
+        ],
+        ids=["header", "config", "tensors-entry"],
+    )
+    def test_part_that_is_not_a_json_object_is_format_error(self, tmp_path, edit, message):
+        cfg = ModelConfig(n_classes=6, hidden_dim=8)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_model(cfg), cfg, path)
+        edit_header(path, edit)
+        with pytest.raises(CheckpointFormatError, match=message):
+            load_checkpoint(path)
+
+    def test_tensor_entry_without_shape_is_dimension_error(self, tmp_path):
+        cfg = ModelConfig(n_classes=6, hidden_dim=8)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_model(cfg), cfg, path)
+        edit_header(path, lambda h: {**h, "tensors": [{"name": t["name"]} for t in h["tensors"]]})
+        with pytest.raises(CheckpointDimensionError, match="sage1.w_self has shape None"):
+            load_checkpoint(path)
+
+    def test_header_of_older_checkpoints_loads_bit_identically(self, tmp_path):
+        cfg = ModelConfig(n_classes=6, hidden_dim=8, seed=5)
+        params = init_model(cfg)
+        new, old = str(tmp_path / "new.ckpt"), str(tmp_path / "old.ckpt")
+        save_checkpoint(params, cfg, new)
+        save_checkpoint(params, cfg, old)
+        edit_header(old, lambda h: {**h, "config": {**h["config"], **LEGACY_OPTIONS}})
+        assert b'"ce_invalid_only": true' in Path(old).read_bytes()
+        a, b = load_checkpoint(new), load_checkpoint(old)
+        assert a.config == b.config == cfg
+        for (name, x), (_, y) in zip(nn.param_items(a.params), nn.param_items(b.params)):
+            assert x.tobytes() == y.tobytes(), name
+        g = fixed_graph()
+        pa, pb = predict([g], a.params, a.config), predict([g], b.params, b.config)
+        for field in ("is_invalid", "corrected_label", "confidence", "validity_prob"):
+            assert getattr(pa, field).tobytes() == getattr(pb, field).tobytes(), field
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("label_encoding", "scalar"), ("msg_mode", "nodes"), ("ce_invalid_only", False),
+         ("ce_invalid_only", 1)],
+    )
+    def test_older_option_of_another_value_names_the_key(self, tmp_path, key, value):
+        cfg = ModelConfig(n_classes=6, hidden_dim=8)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_model(cfg), cfg, path)
+        options = {**LEGACY_OPTIONS, key: value}
+        edit_header(path, lambda h: {**h, "config": {**h["config"], **options}})
+        with pytest.raises(CheckpointFormatError, match=f"{key} {value!r} is not supported"):
+            load_checkpoint(path)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kw",
@@ -285,8 +348,8 @@ class TestConfigValidation:
             {"validity_threshold": 0.0},
             {"validity_threshold": 1.0},
             {"lam_valid": -1.0},
-            {"label_encoding": "binary"},
-            {"msg_mode": "attention"},
+            {"lam_label": -1.0},
+            {"k": "most"},
             {"k": 0},
         ],
     )
@@ -313,5 +376,6 @@ class TestConfigValidation:
         assert ModelConfig(lr=0.0).lr == 0.0
 
     def test_input_dim(self):
-        assert ModelConfig(n_classes=39).input_dim == 43  # onehot default
-        assert ModelConfig(n_classes=39, label_encoding="scalar").input_dim == 5
+        # one-hot label plus the four box features
+        assert ModelConfig(n_classes=39).input_dim == 43
+        assert ModelConfig(n_classes=2).input_dim == 6

@@ -7,15 +7,12 @@ import pytest
 from scenegnn import nn
 from scenegnn.geometry import BoundingBox
 from scenegnn.model import PREDICT_CHUNK_NODES, ModelConfig, init_model
-from scenegnn.scenegraph import (
-    ALL_NEIGHBORS,
-    Frame,
-    SceneObject,
-    build_graph,
-    normalize_edge_features,
-)
+from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject, build_graph
+
+from oracles import normalize_edge_features
 
 N_CLASSES = 10
+IN_DIM = N_CLASSES + 4  # one-hot label, then the four box features
 
 
 def random_graph(n, rng, n_classes=N_CLASSES, k=3, corrupted=True):
@@ -36,29 +33,38 @@ def random_graph(n, rng, n_classes=N_CLASSES, k=3, corrupted=True):
     return g
 
 
-def loss_of(params, batch, msg_mode, lam_v=1.0, lam_l=1.0):
-    bce, ce = nn.loss_components(nn.full_forward(params, batch, msg_mode), batch)
+def loss_of(params, batch, lam_v=1.0, lam_l=1.0):
+    bce, ce = nn.loss_components(nn.full_forward(params, batch), batch)
     return lam_v * bce + lam_l * ce
 
 
-def sage_layer(layer, x, graph, msg_mode):
+def sage_layer(layer, x, graph):
     """One GraphSAGE layer on one graph, through the batched path."""
-    batch = nn.make_batch([graph], "scalar")
-    return nn._layer_forward(layer, x, batch, msg_mode)[1]
+    return nn._layer_forward(layer, x, nn.make_batch([graph]))[1]
 
 
-def finite_difference_check(params, batch, msg_mode, lam_v=1.0, lam_l=1.0, step=1e-5):
-    cache = nn.full_forward(params, batch, msg_mode)
-    grads = nn.backward(params, cache, batch, msg_mode, lam_v, lam_l)
+def with_messages(batch, messages):
+    """``batch`` as built for "nodes+edges"; for "nodes", its edge means
+    zeroed, so that neighbours pass node messages only. The two values keep
+    the test ids of the network's former message modes; both now run the one
+    network."""
+    if messages == "nodes":
+        batch.edge_mean[:] = 0.0
+    return batch
+
+
+def finite_difference_check(params, batch, lam_v=1.0, lam_l=1.0, step=1e-5):
+    cache = nn.full_forward(params, batch)
+    grads = nn.backward(params, cache, batch, lam_v, lam_l)
     max_rel = 0.0
     for (name, arr), (_, g) in zip(nn.param_items(params), nn.param_items(grads)):
         flat, gflat = arr.reshape(-1), g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = loss_of(params, batch, msg_mode, lam_v, lam_l)
+            up = loss_of(params, batch, lam_v, lam_l)
             flat[i] = orig - step
-            down = loss_of(params, batch, msg_mode, lam_v, lam_l)
+            down = loss_of(params, batch, lam_v, lam_l)
             flat[i] = orig
             fd = (up - down) / (2 * step)
             rel = abs(fd - gflat[i]) / max(1e-8, abs(fd), abs(gflat[i]))
@@ -74,11 +80,11 @@ class TestSageForward:
             N_CLASSES,
         )
         layer = nn.SageLayer(
-            w_self=np.eye(5), w_neigh=np.zeros((5, 5)), bias=np.zeros(5)
+            w_self=np.eye(4), w_neigh=np.ones((4, 10)), bias=np.zeros(4)
         )
         x = g.node_features
-        out = sage_layer(layer, x, g, nn.MSG_NODES)
-        np.testing.assert_array_equal(out, x)  # empty-neighbour mean is zero
+        out = sage_layer(layer, x, g)
+        np.testing.assert_array_equal(out, x)  # both empty-neighbourhood means are zero
 
     def test_two_node_clique_mean(self):
         rng = np.random.default_rng(0)
@@ -87,8 +93,10 @@ class TestSageForward:
         x = np.zeros((2, f))
         x[0, 0] = 1.0
         x[1, 1] = 1.0
-        layer = nn.SageLayer(w_self=np.eye(f), w_neigh=np.eye(f), bias=np.zeros(f))
-        out = sage_layer(layer, x, g, nn.MSG_NODES)
+        # the edge-feature columns of w_neigh are zero: the node message alone
+        w_neigh = np.hstack([np.eye(f), np.zeros((f, 6))])
+        layer = nn.SageLayer(w_self=np.eye(f), w_neigh=w_neigh, bias=np.zeros(f))
+        out = sage_layer(layer, x, g)
         np.testing.assert_allclose(out[0], np.maximum(x[0] + x[1], 0))
 
     def test_zero_inputs_zero_outputs(self):
@@ -96,10 +104,12 @@ class TestSageForward:
         g = random_graph(4, rng)
         layer = nn.SageLayer(
             w_self=rng.normal(size=(6, 5)),
-            w_neigh=rng.normal(size=(6, 5)),
+            w_neigh=rng.normal(size=(6, 11)),
             bias=np.zeros(6),
         )
-        out = sage_layer(layer, np.zeros((4, 5)), g, nn.MSG_NODES)
+        batch = nn.make_batch([g])
+        batch.edge_mean[:] = 0.0  # zero edge messages too
+        out = nn._layer_forward(layer, np.zeros((4, 5)), batch)[1]
         np.testing.assert_array_equal(out, np.zeros((4, 6)))
 
     def test_neighbor_order_invariance(self):
@@ -110,12 +120,12 @@ class TestSageForward:
         g2.edges = g.edges[perm]
         g2.edge_features = g.edge_features[perm]
         layer = nn.SageLayer(
-            w_self=rng.normal(size=(4, 5)),
-            w_neigh=rng.normal(size=(4, 11)),
+            w_self=rng.normal(size=(4, 4)),
+            w_neigh=rng.normal(size=(4, 10)),
             bias=rng.normal(size=4),
         )
-        a = sage_layer(layer, g.node_features, g, nn.MSG_NODES_EDGES)
-        b = sage_layer(layer, g2.node_features, g2, nn.MSG_NODES_EDGES)
+        a = sage_layer(layer, g.node_features, g)
+        b = sage_layer(layer, g2.node_features, g2)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_outputs_finite_for_bounded_inputs(self):
@@ -128,7 +138,7 @@ class TestSageForward:
                 bias=rng.uniform(-1, 1, 7),
             )
             x = rng.uniform(-10, 10, (8, 5))
-            out = sage_layer(layer, x, g, nn.MSG_NODES_EDGES)
+            out = sage_layer(layer, x, g)
             assert np.all(np.isfinite(out))
 
 
@@ -176,46 +186,37 @@ class TestBackward:
     def test_zero_lambdas_zero_gradients(self):
         rng = np.random.default_rng(4)
         g = random_graph(5, rng)
-        cfg = ModelConfig(n_classes=N_CLASSES, hidden_dim=8, label_encoding="scalar")
-        params = init_model(cfg, rng)
-        batch = nn.make_batch([g], "scalar")
-        cache = nn.full_forward(params, batch, cfg.msg_mode)
-        grads = nn.backward(params, cache, batch, cfg.msg_mode, 0.0, 0.0)
+        params = init_model(ModelConfig(n_classes=N_CLASSES, hidden_dim=8), rng)
+        batch = nn.make_batch([g])
+        grads = nn.backward(params, nn.full_forward(params, batch), batch, 0.0, 0.0)
         for _, garr in nn.param_items(grads):
             np.testing.assert_array_equal(garr, np.zeros_like(garr))
 
-    @pytest.mark.parametrize("msg_mode", [nn.MSG_NODES, nn.MSG_NODES_EDGES])
-    def test_finite_difference_oracle(self, msg_mode):
+    @pytest.mark.parametrize("messages", ["nodes", "nodes+edges"])
+    def test_finite_difference_oracle(self, messages):
         rng = np.random.default_rng(5)
         g = random_graph(6, rng)
-        params = nn.init_params(5, 8, N_CLASSES, msg_mode, rng)
-        batch = nn.make_batch([g], "scalar")
-        assert finite_difference_check(params, batch, msg_mode) < 1e-4
+        params = nn.init_params(IN_DIM, 8, N_CLASSES, rng)
+        batch = with_messages(nn.make_batch([g]), messages)
+        assert finite_difference_check(params, batch) < 1e-4
 
-    @pytest.mark.parametrize("msg_mode", [nn.MSG_NODES, nn.MSG_NODES_EDGES])
-    def test_finite_difference_oracle_multi_graph_batch(self, msg_mode):
+    @pytest.mark.parametrize("messages", ["nodes", "nodes+edges"])
+    def test_finite_difference_oracle_multi_graph_batch(self, messages):
         # graphs of different sizes, one without edges, and CE on invalid nodes only
         rng = np.random.default_rng(12)
         graphs = [random_graph(n, rng) for n in (6, 1, 4, 3)]
-        params = nn.init_params(5, 8, N_CLASSES, msg_mode, rng)
-        batch = nn.make_batch(graphs, "scalar")
-        batch.ce_weights = batch.node_weights * ~batch.validity_gt
-        assert finite_difference_check(params, batch, msg_mode, 1.0, 2.0) < 1e-4
+        params = nn.init_params(IN_DIM, 8, N_CLASSES, rng)
+        batch = with_messages(nn.make_batch(graphs), messages)
+        assert finite_difference_check(params, batch, 1.0, 2.0) < 1e-4
 
     def test_duplicated_components_same_gradients_under_mean(self):
         rng = np.random.default_rng(6)
         g = random_graph(5, rng)
-        params = nn.init_params(5, 8, N_CLASSES, nn.MSG_NODES_EDGES, rng)
-        single = nn.make_batch([g], "scalar")
-        double = nn.make_batch([g, g], "scalar")
-        g1 = nn.backward(
-            params, nn.full_forward(params, single, nn.MSG_NODES_EDGES), single,
-            nn.MSG_NODES_EDGES,
-        )
-        g2 = nn.backward(
-            params, nn.full_forward(params, double, nn.MSG_NODES_EDGES), double,
-            nn.MSG_NODES_EDGES,
-        )
+        params = nn.init_params(IN_DIM, 8, N_CLASSES, rng)
+        single = nn.make_batch([g])
+        double = nn.make_batch([g, g])
+        g1 = nn.backward(params, nn.full_forward(params, single), single)
+        g2 = nn.backward(params, nn.full_forward(params, double), double)
         for (_, a), (_, b) in zip(nn.param_items(g1), nn.param_items(g2)):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
@@ -223,37 +224,34 @@ class TestBackward:
         # backward must overwrite every gradient, never add to what a
         # previous batch left in the buffer
         rng = np.random.default_rng(16)
-        mode = nn.MSG_NODES_EDGES
-        params = nn.init_params(5, 8, N_CLASSES, mode, rng)
+        params = nn.init_params(IN_DIM, 8, N_CLASSES, rng)
         state = nn.AdamState.for_params(params)
-        other = nn.make_batch([random_graph(n, rng) for n in (7, 3)], "scalar")
-        nn.backward(params, nn.full_forward(params, other, mode), other, mode, out=state.grads)
+        other = nn.make_batch([random_graph(n, rng) for n in (7, 3)])
+        nn.backward(params, nn.full_forward(params, other), other, out=state.grads)
         assert np.count_nonzero(state.grad) > state.grad.size // 2
-        batch = nn.make_batch([random_graph(n, rng) for n in (5, 4, 1)], "scalar")
-        batch.ce_weights = batch.node_weights * ~batch.validity_gt
-        cache = nn.full_forward(params, batch, mode)
-        reused = nn.backward(params, cache, batch, mode, 1.0, 2.0, out=state.grads)
-        fresh = nn.backward(params, cache, batch, mode, 1.0, 2.0)
+        batch = nn.make_batch([random_graph(n, rng) for n in (5, 4, 1)])
+        cache = nn.full_forward(params, batch)
+        reused = nn.backward(params, cache, batch, 1.0, 2.0, out=state.grads)
+        fresh = nn.backward(params, cache, batch, 1.0, 2.0)
         assert reused is state.grads
         for (name, a), (_, b) in zip(nn.param_items(reused), nn.param_items(fresh)):
             assert a.tobytes() == b.tobytes(), name
 
-    @pytest.mark.parametrize("msg_mode", [nn.MSG_NODES, nn.MSG_NODES_EDGES])
-    def test_batch_without_ce_weighted_nodes(self, msg_mode):
+    @pytest.mark.parametrize("messages", ["nodes", "nodes+edges"])
+    def test_batch_without_ce_weighted_nodes(self, messages):
         rng = np.random.default_rng(17)
-        params = nn.init_params(5, 8, N_CLASSES, msg_mode, rng)
-        batch = nn.make_batch([random_graph(n, rng) for n in (5, 3)], "scalar")
+        params = nn.init_params(IN_DIM, 8, N_CLASSES, rng)
+        batch = with_messages(nn.make_batch([random_graph(n, rng) for n in (5, 3)]), messages)
         batch.ce_weights = np.zeros(batch.n_nodes)
         state = nn.AdamState.for_params(params)
         state.grad.fill(1.0)  # stale values the label head must overwrite
         grads = nn.backward(
-            params, nn.full_forward(params, batch, msg_mode), batch, msg_mode, 1.0, 2.0,
-            out=state.grads,
+            params, nn.full_forward(params, batch), batch, 1.0, 2.0, out=state.grads
         )
         np.testing.assert_array_equal(grads.label_head.w, 0.0)
         np.testing.assert_array_equal(grads.label_head.b, 0.0)
         assert np.any(grads.sage1.w_self != 0.0)
-        assert finite_difference_check(params, batch, msg_mode, 1.0, 2.0) < 1e-4
+        assert finite_difference_check(params, batch, 1.0, 2.0) < 1e-4
 
 
 class TestAdam:
@@ -277,9 +275,9 @@ class TestAdam:
 
     def test_zero_gradient_leaves_params(self):
         rng = np.random.default_rng(7)
-        params = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
+        params = nn.init_params(5, 4, 3, rng)
         before = {n: a.copy() for n, a in nn.param_items(params)}
-        zeros = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
+        zeros = nn.init_params(5, 4, 3, rng)
         for name, _ in nn.param_items(zeros):
             nn.set_param(zeros, name, np.zeros_like(before[name]))
         state = nn.AdamState.for_params(params)
@@ -290,8 +288,8 @@ class TestAdam:
     def test_deterministic_trajectory(self):
         def run():
             rng = np.random.default_rng(8)
-            params = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
-            grads = nn.init_params(5, 4, 3, nn.MSG_NODES, np.random.default_rng(9))
+            params = nn.init_params(5, 4, 3, rng)
+            grads = nn.init_params(5, 4, 3, np.random.default_rng(9))
             state = nn.AdamState.for_params(params, lr=0.05)
             for _ in range(10):
                 nn.adam_step(params, grads, state)
@@ -306,8 +304,8 @@ class TestAdam:
         # backward writes them in training
         for bad, in_state in itertools.product(("sage1.bias", "label_head.b"), (False, True)):
             rng = np.random.default_rng(10)
-            params = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
-            grads = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
+            params = nn.init_params(5, 4, 3, rng)
+            grads = nn.init_params(5, 4, 3, rng)
             state = nn.AdamState.for_params(params)
             nn.adam_step(params, grads, state)  # non-zero moments to protect
             before = {n: a.copy() for n, a in nn.param_items(params)}
@@ -328,12 +326,12 @@ class TestAdam:
     def test_in_place_step_equals_one_line_update(self):
         # oracle: the update as one expression per moment and per parameter
         rng = np.random.default_rng(18)
-        params = nn.init_params(5, 4, 3, nn.MSG_NODES_EDGES, rng)
+        params = nn.init_params(5, 4, 3, rng)
         state = nn.AdamState.for_params(params, lr=0.01)
         p, m, v = state.params.copy(), np.zeros_like(state.params), np.zeros_like(state.params)
         b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
         for t in range(1, 51):
-            grads = nn.init_params(5, 4, 3, nn.MSG_NODES_EDGES, rng)
+            grads = nn.init_params(5, 4, 3, rng)
             for _, arr in nn.param_items(grads):
                 arr *= 10.0 ** rng.integers(-8, 3)
             if t % 2:  # every other step through the state's own buffer
@@ -352,73 +350,92 @@ class TestAdam:
 
     def test_params_of_another_model_rejected(self):
         rng = np.random.default_rng(11)
-        params = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
+        params = nn.init_params(5, 4, 3, rng)
         state = nn.AdamState.for_params(params)
-        other = nn.init_params(5, 4, 3, nn.MSG_NODES, rng)
+        other = nn.init_params(5, 4, 3, rng)
         with pytest.raises(ValueError):
             nn.adam_step(other, other, state)
         assert state.t == 0
 
 
-def reference_batch(graphs, label_encoding):
-    """Per-graph, per-edge loop over the raw graphs: inputs, edge means and
-    the padded mean-adjacency blocks built from scratch, without a store."""
+def reference_batch(graphs):
+    """The batch of ``graphs`` built from scratch over each raw edge list,
+    without a store: one-hot inputs, edge means and the padded
+    mean-adjacency blocks."""
     m = max(g.n_nodes for g in graphs)
     adj = np.zeros((len(graphs), m, m))
     xs, edge_means, slots, wts = [], [], [], []
     for b, g in enumerate(graphs):
-        if label_encoding == "onehot":
-            x = np.zeros((g.n_nodes, g.n_classes + 4))
-            x[np.arange(g.n_nodes), g.current_labels] = 1.0
-            x[:, g.n_classes:] = g.node_features[:, 1:]
-        else:
-            x = g.node_features
+        x = np.zeros((g.n_nodes, g.n_classes + 4))
+        x[np.arange(g.n_nodes), g.current_labels] = 1.0
+        x[:, g.n_classes:] = g.node_features
         xs.append(x)
-        ex = normalize_edge_features(g.edge_features)
-        deg = np.bincount(g.edges[:, 0], minlength=g.n_nodes)
+        src, dst = g.edges[:, 0], g.edges[:, 1]
+        share = 1.0 / np.bincount(src, minlength=g.n_nodes)[src]
+        adj[b, src, dst] = share
+        # one term at a time in edge order, as the store's bincount adds them
         edge_mean = np.zeros((g.n_nodes, 6))
-        for (src, dst), feat in zip(g.edges.tolist(), ex):
-            adj[b, src, dst] = 1.0 / deg[src]
-            # one term at a time in edge order, as the store's bincount adds them
-            edge_mean[src] = edge_mean[src] + (1.0 / deg[src]) * feat
+        np.add.at(edge_mean, src, share[:, None] * normalize_edge_features(g.edge_features))
         edge_means.append(edge_mean)
         slots.append(b * m + np.arange(g.n_nodes))
         wts.append(np.full(g.n_nodes, 1.0 / (g.n_nodes * len(graphs))))
+    node_weights = np.concatenate(wts)
+    validity = np.concatenate([g.validity for g in graphs])
     return nn.GraphBatch(
         x=np.concatenate(xs),
         adj=adj,
         slot=np.concatenate(slots),
         edge_mean=np.concatenate(edge_means),
-        validity_gt=np.concatenate([g.validity for g in graphs]),
+        validity_gt=validity,
         label_gt=np.concatenate([g.original_labels for g in graphs]),
-        node_weights=np.concatenate(wts),
+        node_weights=node_weights,
+        ce_weights=np.where(validity, 0.0, node_weights),
     )
 
 
-def assert_batches_identical(a, b):
-    for name in ("x", "adj", "slot", "edge_mean", "validity_gt", "label_gt", "node_weights"):
+# The two halves of a batch, each compared bit for bit. The keys keep the
+# test ids of the network's former label encodings; they name no encoding.
+BATCH_FIELDS = {
+    # the network's input, one-hot labels then box features, and the
+    # neighbourhood it aggregates over
+    "onehot": ("x", "adj", "slot", "edge_mean"),
+    # the per-node targets and loss weights
+    "scalar": ("validity_gt", "label_gt", "node_weights", "ce_weights"),
+}
+
+
+def assert_batches_identical(a, b, names):
+    for name in names:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name, strict=True)
 
 
+@pytest.fixture(scope="module")
+def complete_graph():
+    """A complete graph over predict's chunk cap, as dense correction packs.
+    Building its 68,382 edges takes most of a second, so it is built once."""
+    rng = np.random.default_rng(19)
+    return random_graph(PREDICT_CHUNK_NODES + 6, rng, k=ALL_NEIGHBORS)
+
+
 class TestPackedBatch:
-    @pytest.mark.parametrize("label_encoding", ["scalar", "onehot"])
-    def test_gathered_batch_equals_batch_of_those_graphs(self, label_encoding):
+    @pytest.mark.parametrize("fields", ["onehot", "scalar"])
+    def test_gathered_batch_equals_batch_of_those_graphs(self, complete_graph, fields):
         rng = np.random.default_rng(13)
         graphs = [random_graph(int(n), rng) for n in rng.integers(2, 9, 30)]
         graphs[4] = random_graph(1, rng)
         perm = rng.permutation(graphs[7].n_edges)  # edges not sorted by source
         graphs[7].edges = graphs[7].edges[perm]
         graphs[7].edge_features = graphs[7].edge_features[perm]
-        # a complete graph over predict's chunk cap, as dense correction packs
-        graphs[9] = random_graph(PREDICT_CHUNK_NODES + 6, rng, k=ALL_NEIGHBORS)
+        graphs[9] = complete_graph
         store = nn.PackedGraphs(graphs)
         subsets = [rng.choice(len(graphs), size=int(k), replace=False) for k in (1, 5, 16, 30)]
         subsets += [[4], [7, 4], [3, 3], [9], [4, 9, 7], list(range(len(graphs)))]
         for ids in subsets:
             chosen = [graphs[i] for i in ids]
-            expected = reference_batch(chosen, label_encoding)
-            assert_batches_identical(nn.make_batch(store, label_encoding, ids), expected)
-            assert_batches_identical(nn.make_batch(chosen, label_encoding), expected)
+            expected = reference_batch(chosen)
+            names = BATCH_FIELDS[fields]
+            assert_batches_identical(nn.make_batch(store, ids), expected, names)
+            assert_batches_identical(nn.make_batch(chosen), expected, names)
 
     def test_graphs_of_different_class_counts_rejected(self):
         rng = np.random.default_rng(14)
@@ -427,24 +444,23 @@ class TestPackedBatch:
 
 
 class TestMeanAggregate:
-    def test_equals_per_node_sums(self):
+    def test_equals_per_node_sums(self, complete_graph):
         # mixed sizes pad the blocks; a one-node graph has an empty
         # neighbourhood; a complete graph exceeds predict's chunk cap
         rng = np.random.default_rng(15)
-        graphs = [random_graph(n, rng) for n in (7, 1, 3, 12)]
-        graphs.append(random_graph(PREDICT_CHUNK_NODES + 6, rng, k=ALL_NEIGHBORS))
-        batch = nn.make_batch(graphs, "scalar")
+        graphs = [random_graph(n, rng) for n in (7, 1, 3, 12)] + [complete_graph]
+        batch = nn.make_batch(graphs)
         h = rng.uniform(0.5, 2.0, (batch.n_nodes, 9))
         forward = np.zeros_like(h)
         transposed = np.zeros_like(h)
         offset = 0
         for g in graphs:
-            deg = np.bincount(g.edges[:, 0], minlength=g.n_nodes)
-            for i in range(g.n_nodes):
-                for j in g.edges[g.edges[:, 0] == i, 1]:
-                    forward[offset + i] += h[offset + j] / deg[i]
-                for j in g.edges[g.edges[:, 1] == i, 0]:
-                    transposed[offset + i] += h[offset + j] / deg[j]
+            # node i sums h[j] / deg(i) over its edges (i, j), and
+            # transposed, h[j] / deg(j) over the edges (j, i)
+            src, dst = offset + g.edges[:, 0], offset + g.edges[:, 1]
+            share = 1.0 / np.bincount(g.edges[:, 0], minlength=g.n_nodes)[g.edges[:, 0]]
+            np.add.at(forward, src, h[dst] * share[:, None])
+            np.add.at(transposed, dst, h[src] * share[:, None])
             offset += g.n_nodes
         np.testing.assert_allclose(
             nn.mean_aggregate(batch.adj, batch.slot, h), forward, rtol=1e-13, atol=0

@@ -12,8 +12,10 @@ from scenegnn.scenegraph import (
     SceneObject,
     build_graph,
     knn_edges,
-    normalize_edge_features,
+    normalize_edge_column,
 )
+
+from oracles import normalize_edge_features
 
 
 def obj(label, x0, y0, x1, y1):
@@ -85,6 +87,7 @@ def reference_edges(frame, k):
 
 
 def node_features(o, n_classes):
+    """[x_center, y_center, w, h] of one object: its class is not among them."""
     return build_graph(Frame("f", (o,)), 1, n_classes).node_features[0]
 
 
@@ -95,15 +98,15 @@ def centers(objs):
 class TestNodeFeatures:
     def test_full_frame_first_class(self):
         f = node_features(obj(0, 0, 0, 1, 1), 39)
-        assert f.tolist() == [0.0, 0.5, 0.5, 1.0, 1.0]
+        assert f.tolist() == [0.5, 0.5, 1.0, 1.0]
 
     def test_last_class(self):
         f = node_features(obj(38, 0.2, 0.2, 0.4, 0.6), 39)
-        assert f == pytest.approx([1.0, 0.3, 0.4, 0.2, 0.4])
+        assert f == pytest.approx([0.3, 0.4, 0.2, 0.4])
 
     def test_middle_class_degenerate_box(self):
         f = node_features(obj(19, 0.5, 0.5, 0.5, 0.5), 39)
-        assert f == pytest.approx([0.5, 0.5, 0.5, 0.0, 0.0])
+        assert f == pytest.approx([0.5, 0.5, 0.0, 0.0])
 
     def test_range(self):
         f = node_features(obj(3, 0.1, 0.2, 0.9, 0.95), 5)
@@ -188,7 +191,7 @@ class TestBuildGraph:
         assert g.edges.tolist() == reference_edges(frame, k)
         expected = np.array(
             [
-                [o.label_id / (n_classes - 1), *o.bbox.center, o.bbox.width, o.bbox.height]
+                [*o.bbox.center, o.bbox.width, o.bbox.height]
                 for o in frame.objects
             ]
         )
@@ -267,23 +270,30 @@ class TestBuildGraph:
         permuted = Frame("f", tuple(frame.objects[p] for p in perm))
         g1 = build_graph(frame, 3, 8)
         g2 = build_graph(permuted, 3, 8)
-        # same multiset of node feature rows
-        assert sorted(map(tuple, g1.node_features)) == sorted(map(tuple, g2.node_features))
+        # same multiset of (label, node feature row)
+        rows = lambda g: sorted(zip(g.current_labels.tolist(), map(tuple, g.node_features)))
+        assert rows(g1) == rows(g2)
         inv = {p: i for i, p in enumerate(perm)}
         mapped = {(inv[i], inv[j]) for i, j in g1.edges}
         assert mapped == {tuple(e) for e in g2.edges}
 
 
+def normalized(raw):
+    """All six columns of ``raw`` through ``normalize_edge_column``."""
+    return np.column_stack([normalize_edge_column(raw[:, c], c) for c in range(6)])
+
+
 class TestNormalization:
     def test_angle_and_ratio_scaling(self):
         raw = np.array([[0.5, -0.5, 0.7, 180.0, 0.3, np.e - 1.0]])
-        out = normalize_edge_features(raw)
+        out = normalized(raw)
         assert out[0, 3] == pytest.approx(1.0)
         assert out[0, 5] == pytest.approx(1.0)
         # untouched columns
         assert out[0, :3] == pytest.approx([0.5, -0.5, 0.7])
         # raw input not mutated
         assert raw[0, 3] == 180.0
+        assert out.tobytes() == normalize_edge_features(raw).tobytes()
 
     def test_equals_sign_preserving_log1p_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -296,5 +306,6 @@ class TestNormalization:
         expected = raw.copy()
         expected[:, 3] /= 180.0
         expected[:, 5] = np.sign(raw[:, 5]) * np.log1p(np.abs(raw[:, 5]))
+        assert np.array_equal(normalized(raw), expected)
         assert np.array_equal(normalize_edge_features(raw), expected)
-        assert normalize_edge_features(np.zeros((0, 6))).shape == (0, 6)
+        assert normalized(np.zeros((0, 6))).shape == (0, 6)

@@ -159,6 +159,7 @@ class TestTrain:
         b = build_dataset(list(test_frames), cfg, seed=7)
         for ga, gb in zip(a, b):
             np.testing.assert_array_equal(ga.node_features, gb.node_features)
+            np.testing.assert_array_equal(ga.current_labels, gb.current_labels)
             np.testing.assert_array_equal(ga.validity, gb.validity)
 
     def test_history_jsonable(self):
