@@ -4,11 +4,13 @@
     PYTHONPATH=src python3 scripts/identity_hashes.py --seeds 0 1 > hashes.txt
 
 It runs the `scripts/run_pipeline.py` settings (39 classes, 2000 views, k=5,
-rho=3, 30 epochs) at each seed and prints the hash of the final and best
-parameters, the training history, the test EvalReport, and the corrected
-labels and correction records at k=5 and k="all". Run it in two checkouts and
-diff the outputs to check that a change keeps every byte. Standard library and
-numpy only.
+rho=3, 30 epochs) at each seed and prints the hash of the rendered frames
+(boxes and labels), the training graphs (edges as int64, edge and node
+features), the final and best parameters, the training history, the test
+EvalReport, mAP@50 before correction, and the corrected labels, correction
+records and mAP@50 after correction at k=5 and k="all". Run it in two
+checkouts and diff the outputs to check that a change keeps every byte.
+Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from scenegnn.correct import correct_detections, simulate_detector
 from scenegnn.corrupt import derive_seed
-from scenegnn.metrics import evaluate_graphs
+from scenegnn.metrics import evaluate_graphs, map50
 from scenegnn.model import ModelConfig
 from scenegnn.nn import param_items
 from scenegnn.scenegraph import ALL_NEIGHBORS
@@ -42,6 +44,22 @@ def json_hash(obj) -> str:
     return sha(json.dumps(obj, sort_keys=True).encode())
 
 
+def frames_hash(frames) -> str:
+    return sha(b"".join(
+        f.frame_id.encode() + f.boxes.astype("<f8").tobytes() + f.labels.astype("<i8").tobytes()
+        for f in frames
+    ))
+
+
+def graphs_hash(graphs) -> str:
+    return sha(b"".join(
+        g.edges.astype("<i8").tobytes()
+        + g.edge_features.astype("<f8").tobytes()
+        + g.node_features.astype("<f8").tobytes()
+        for g in graphs
+    ))
+
+
 def seed_hashes(seed: int, n_classes: int, n_frames: int, epochs: int) -> dict[str, str]:
     template = gen_template(n_classes, derive_seed(seed, "synth"))
     frames = render_views(template, n_frames, dropout_prob=0.05, seed=derive_seed(seed, "views"))
@@ -52,16 +70,20 @@ def seed_hashes(seed: int, n_classes: int, n_frames: int, epochs: int) -> dict[s
     final, best, history = train(train_g, config, val_g)
     test_g = build_dataset(test_f, config, derive_seed(seed, "test-data"))
     out = {
+        "frames": frames_hash(frames),
+        "train_graphs": graphs_hash(train_g),
         "final_params": params_hash(final),
         "best_params": params_hash(best),
         "history": json_hash(history.to_jsonable()),
         "eval_report": json_hash(evaluate_graphs(test_g, best, config).to_jsonable()),
     }
     dets = simulate_detector(test_f, n_classes, rho_det=3, sigma_det=0.01, seed=derive_seed(seed, "detector"))
+    out["map50_before"] = json_hash(map50(dets, test_f))
     for k in (5, ALL_NEIGHBORS):
         fixed, records = correct_detections(dets, best, config, k=k)
         out[f"labels_k{k}"] = json_hash([d.class_id for d in fixed])
         out[f"records_k{k}"] = json_hash([astuple(r) for r in records])
+        out[f"map50_k{k}"] = json_hash(map50(fixed, test_f))
     return out
 
 

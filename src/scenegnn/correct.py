@@ -8,9 +8,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame_rng
+from .geometry import BoundingBox
 from .metrics import Detection
 from .model import ModelConfig, ModelParams, chunked, predict
-from .scenegraph import Frame, SceneObject, build_graph, check_k
+from .scenegraph import Frame, build_graph, check_k
 
 
 @dataclass(slots=True)
@@ -59,7 +60,9 @@ def correct_detections(
     for chunk in chunked(list(by_frame.items()), lambda frame: len(frame[1])):
         graphs = [
             build_graph(
-                Frame(frame_id, tuple(SceneObject(d.class_id, d.bbox) for _, d in items)),
+                Frame.from_arrays(
+                    frame_id, [d.bbox.corners for _, d in items], [d.class_id for _, d in items]
+                ),
                 k,
                 config.n_classes,
             )
@@ -122,12 +125,12 @@ def simulate_detector(
         conf_rng = np.random.default_rng(
             derive_seed(seed, f"detconf/{frame.frame_id}")
         )
-        for obj in noisy.objects:
+        for label, box in zip(noisy.labels.tolist(), noisy.boxes.tolist()):
             detections.append(
                 Detection(
                     frame_id=frame.frame_id,
-                    class_id=obj.label_id,
-                    bbox=obj.bbox,
+                    class_id=label,
+                    bbox=BoundingBox(*box),
                     confidence=float(conf_rng.uniform(0.5, 1.0)),
                 )
             )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import clamp_box
-from .scenegraph import Frame, SceneObject
+from .scenegraph import Frame
 
 
 @dataclass(frozen=True)
@@ -48,36 +48,29 @@ def corrupt_frame(
     coordinates with N(0, sigma^2) noise (re-ordered and clamped to [0, 1]).
     rho = 0 is a no-op.
     """
-    if len(frame.objects) == 0:
-        raise ValueError("cannot corrupt an empty frame")
+    n = len(frame.labels)
+    if n == 0:
+        raise ValueError(f"frame {frame.frame_id!r} has no objects")
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
 
-    n = len(frame.objects)
-    original = np.array([o.label_id for o in frame.objects], dtype=np.int64)
+    original = frame.labels.copy()
     validity = np.ones(n, dtype=bool)
     if cfg.rho == 0:
         return frame, validity, original
 
     m = int(rng.integers(1, min(cfg.rho, n) + 1))
     selected = rng.choice(n, size=m, replace=False)
-    objects = list(frame.objects)
-    for i in selected:
-        i = int(i)
-        old = objects[i].label_id
+    labels, boxes = frame.labels.copy(), frame.boxes.copy()
+    for i in selected.tolist():
+        old = int(labels[i])
         new = int(rng.integers(0, n_classes - 1))
         if new >= old:
             new += 1
-        box = objects[i].bbox
+        labels[i] = new
         if cfg.jitter_sigma > 0.0:
             noise = rng.normal(0.0, cfg.jitter_sigma, size=4)
-            box = clamp_box(
-                box.x_min + noise[0],
-                box.y_min + noise[1],
-                box.x_max + noise[2],
-                box.y_max + noise[3],
-            )
-        objects[i] = SceneObject(label_id=new, bbox=box)
+            boxes[i] = clamp_box(*(boxes[i] + noise).tolist()).corners
         validity[i] = False
 
-    return Frame(frame.frame_id, tuple(objects)), validity, original
+    return Frame.from_arrays(frame.frame_id, boxes, labels), validity, original

@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import BoundingBox
 from .metrics import Detection
-from .scenegraph import Frame, SceneObject
+from .scenegraph import Frame
 
 FRAMES_FORMAT_VERSION = 1
 
@@ -65,12 +65,16 @@ def _json_float(value, name: str, line_no: int) -> float:
     raise FramesFileError(f"line {line_no}: bad {name}: expected a number, got {value!r}")
 
 
-def _parse_bbox(raw, line_no: int) -> BoundingBox:
+def _bbox_corners(raw, line_no: int) -> list[float]:
     if not isinstance(raw, list) or len(raw) != 4:
         raise FramesFileError(f"line {line_no}: bbox must be a list of 4 floats")
-    coords = [_json_float(v, "bbox", line_no) for v in raw]
+    return [_json_float(v, "bbox", line_no) for v in raw]
+
+
+def _parse_bbox(raw, line_no: int) -> BoundingBox:
+    corners = _bbox_corners(raw, line_no)
     try:
-        return BoundingBox(*coords)
+        return BoundingBox(*corners)
     except ValueError as exc:
         raise FramesFileError(f"line {line_no}: invalid bbox: {exc}") from exc
 
@@ -146,7 +150,8 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
         raise FramesFileError(f"line {line_no}: duplicate frame_id {frame_id!r}")
     seen_ids.add(frame_id)
 
-    objects: list[SceneObject] = []
+    boxes: list[list[float]] = []
+    labels: list[int] = []
     validity: list[bool] = []
     original: list[int] = []
     has_validity = False
@@ -162,8 +167,8 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
             raise FramesFileError(
                 f"line {line_no}: class_id {class_id} out of range [0, {n_classes})"
             )
-        bbox = _parse_bbox(o.get("bbox"), line_no)
-        objects.append(SceneObject(label_id=class_id, bbox=bbox))
+        boxes.append(_bbox_corners(o.get("bbox"), line_no))
+        labels.append(class_id)
         if "validity" in o or "original_label" in o:
             has_validity = True
         valid = o.get("validity", True)
@@ -177,8 +182,12 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
             raise FramesFileError(f"line {line_no}: original_label {orig} out of range")
         original.append(orig)
 
+    try:
+        frame = Frame.from_arrays(frame_id, boxes, labels)
+    except ValueError as exc:
+        raise FramesFileError(f"line {line_no}: invalid bbox: {exc}") from exc
     return FrameRecord(
-        frame=Frame(frame_id, tuple(objects)),
+        frame=frame,
         validity=np.array(validity, dtype=bool) if has_validity else None,
         original_labels=np.array(original, dtype=np.int64) if has_validity else None,
     )
@@ -192,16 +201,14 @@ def frames_to_jsonl(
     ]
     for rec in dataset.records:
         objs = []
-        for i, o in enumerate(rec.frame.objects):
-            entry = {
-                "class_id": int(o.label_id),
-                "bbox": [o.bbox.x_min, o.bbox.y_min, o.bbox.x_max, o.bbox.y_max],
-            }
+        frame = rec.frame
+        for i, (label, box) in enumerate(zip(frame.labels.tolist(), frame.boxes.tolist())):
+            entry = {"class_id": label, "bbox": box}
             if rec.validity is not None:
                 entry["validity"] = bool(rec.validity[i])
                 entry["original_label"] = int(rec.original_labels[i])
             objs.append(entry)
-        lines.append(json.dumps({"frame_id": rec.frame.frame_id, "objects": objs}))
+        lines.append(json.dumps({"frame_id": frame.frame_id, "objects": objs}))
     return "\n".join(lines) + "\n"
 
 
@@ -245,7 +252,7 @@ def detections_to_jsonl(detections: list[Detection]) -> str:
             {
                 "frame_id": d.frame_id,
                 "class_id": int(d.class_id),
-                "bbox": [d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max],
+                "bbox": list(d.bbox.corners),
                 "confidence": d.confidence,
             }
         )

@@ -7,6 +7,7 @@ right and y pointing down. Angles therefore increase clockwise on screen.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 # Largest size ratio reported, also when the reference box has zero area or
@@ -22,6 +23,8 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self) -> None:
+        if 0.0 <= self.x_min <= self.x_max <= 1.0 and 0.0 <= self.y_min <= self.y_max <= 1.0:
+            return  # the common case; False for NaN, so the checks below find it
         for name in ("x_min", "y_min", "x_max", "y_max"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -46,6 +49,10 @@ class BoundingBox:
         return self.width * self.height
 
     @property
+    def corners(self) -> tuple[float, float, float, float]:
+        return self.x_min, self.y_min, self.x_max, self.y_max
+
+    @property
     def center(self) -> tuple[float, float]:
         return (self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0
 
@@ -58,15 +65,23 @@ def clamp_box(x_min: float, y_min: float, x_max: float, y_max: float) -> Boundin
     return BoundingBox(clip(lo_x), clip(lo_y), clip(hi_x), clip(hi_y))
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; 0 when the union has zero area."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+def iou_corners(a: Sequence[float], b: Sequence[float]) -> float:
+    """Intersection over union of two boxes given by their corners
+    (x_min, y_min, x_max, y_max); 0 when the union has zero area."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    ix = min(ax1, bx1) - max(ax0, bx0)
+    iy = min(ay1, by1) - max(ay0, by0)
     inter = max(0.0, ix) * max(0.0, iy)
-    union = a.area + b.area - inter
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union; 0 when the union has zero area."""
+    return iou_corners(a.corners, b.corners)
 
 
 @dataclass(frozen=True)

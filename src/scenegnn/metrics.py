@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, iou_corners
 from .model import ModelConfig, predict
 from .nn import ModelParams, PackedGraphs
 from .scenegraph import Frame, SceneGraph
@@ -118,14 +118,14 @@ def map50(
     ground-truth box of highest IoU. Classes absent from the ground truth
     are excluded from the mean.
     """
-    gt_by_frame_class: dict[tuple[str, int], list[BoundingBox]] = defaultdict(list)
+    gt_by_frame_class: dict[tuple[str, int], list[list[float]]] = defaultdict(list)
     n_gt: Counter[int] = Counter()
     gt_frame_ids = set()
     for frame in ground_truth:
         gt_frame_ids.add(frame.frame_id)
-        for obj in frame.objects:
-            gt_by_frame_class[(frame.frame_id, obj.label_id)].append(obj.bbox)
-            n_gt[obj.label_id] += 1
+        for label, box in zip(frame.labels.tolist(), frame.boxes.tolist()):
+            gt_by_frame_class[(frame.frame_id, label)].append(box)
+            n_gt[label] += 1
 
     by_class: dict[int, list[tuple[float, str, int, Detection]]] = defaultdict(list)
     for order, det in enumerate(detections):
@@ -141,11 +141,12 @@ def map50(
         fp = np.zeros(len(dets))
         for i, (_, fid, _, det) in enumerate(dets):
             boxes = gt_by_frame_class.get((fid, cls), [])
+            corners = det.bbox.corners
             best_iou, best_j = 0.0, -1
             for j, box in enumerate(boxes):
                 if j in matched[fid]:
                     continue
-                v = iou(det.bbox, box)
+                v = iou_corners(corners, box)
                 if v >= 0.5 and v > best_iou:
                     best_iou, best_j = v, j
             if best_j >= 0:

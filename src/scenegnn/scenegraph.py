@@ -3,6 +3,7 @@ k-NN edges by one stable sort, and per-edge geometry."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -22,13 +23,83 @@ class SceneObject:
     bbox: BoundingBox
 
 
-@dataclass(frozen=True)
-class Frame:
-    frame_id: str
-    objects: tuple[SceneObject, ...]
+def _check_boxes(boxes: np.ndarray) -> None:
+    """Raise the ValueError that ``BoundingBox`` raises for the first row of
+    the N x 4 corner array ``boxes`` that it rejects. One pass of array
+    tests accepts exactly the rows ``BoundingBox`` accepts (min and max are
+    NaN when any value is); only a rejected array is walked row by row."""
+    if not (
+        boxes.min(initial=0.0) >= 0.0
+        and boxes.max(initial=1.0) <= 1.0
+        and (boxes[:, :2] <= boxes[:, 2:]).all()
+    ):
+        for row in boxes.tolist():
+            BoundingBox(*row)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", tuple(self.objects))
+
+@dataclass(frozen=True, init=False, eq=False, slots=True)
+class Frame:
+    """One view: ``boxes`` (N x 4 float64 corners x_min, y_min, x_max, y_max)
+    and ``labels`` (N int64 class ids), both read-only, in object order.
+
+    ``Frame(frame_id, objects)`` converts a sequence of ``SceneObject``;
+    ``Frame.from_arrays`` takes the arrays. Either way every box is checked
+    once, as ``BoundingBox`` checks it. ``objects`` rebuilds the
+    ``SceneObject`` tuple on each access and is not for hot paths.
+    """
+
+    frame_id: str
+    boxes: np.ndarray
+    labels: np.ndarray
+
+    def __init__(self, frame_id: str, objects: Iterable[SceneObject]) -> None:
+        objects = tuple(objects)
+        self._set(
+            frame_id,
+            [o.bbox.corners for o in objects],
+            [o.label_id for o in objects],
+        )
+
+    @classmethod
+    def from_arrays(cls, frame_id: str, boxes, labels) -> Frame:
+        """A frame holding copies of ``boxes`` (N x 4) and ``labels`` (N)."""
+        frame = cls.__new__(cls)
+        frame._set(frame_id, boxes, labels)
+        return frame
+
+    def _set(self, frame_id: str, boxes, labels) -> None:
+        boxes = np.array(boxes, dtype=np.float64)
+        labels = np.array(labels, dtype=np.int64)
+        if boxes.size == 0:
+            boxes = boxes.reshape(0, 4)
+        if boxes.ndim != 2 or boxes.shape[1] != 4 or labels.shape != (len(boxes),):
+            raise ValueError(
+                f"expected N x 4 boxes and N labels, got shapes {boxes.shape} and {labels.shape}"
+            )
+        _check_boxes(boxes)
+        boxes.flags.writeable = labels.flags.writeable = False
+        object.__setattr__(self, "frame_id", frame_id)
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def objects(self) -> tuple[SceneObject, ...]:
+        return tuple(
+            SceneObject(label, BoundingBox(*box))
+            for label, box in zip(self.labels.tolist(), self.boxes.tolist())
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return (
+            self.frame_id == other.frame_id
+            and np.array_equal(self.boxes, other.boxes)
+            and np.array_equal(self.labels, other.labels)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.frame_id)
 
 
 @dataclass
@@ -36,7 +107,7 @@ class SceneGraph:
     """Graph view of one frame; node order follows the frame's object order."""
 
     node_features: np.ndarray  # N x 4: x_center, y_center, w, h
-    edges: np.ndarray  # E x 2 (src, dst), directed
+    edges: np.ndarray  # E x 2 int32 (src, dst), directed
     edge_features: np.ndarray  # E x 6, raw pairwise geometry per directed edge
     validity: np.ndarray  # N bools, True = unmodified
     original_labels: np.ndarray  # N ints, pre-corruption ground truth
@@ -62,8 +133,8 @@ def check_k(k: KOrAll) -> KOrAll:
 
 
 def knn_edges(centers: np.ndarray, k: KOrAll) -> np.ndarray:
-    """Directed k-NN edges over the N x 2 ``centers``, symmetrized by union of
-    reverses and sorted by (src, dst).
+    """Directed k-NN edges (E x 2 int32) over the N x 2 ``centers``,
+    symmetrized by union of reverses and sorted by (src, dst).
 
     One stable sort per row ranks neighbours nearest first, so ties in
     distance break toward the lower node index. k = "all" yields every
@@ -80,25 +151,25 @@ def knn_edges(centers: np.ndarray, k: KOrAll) -> np.ndarray:
     linked = np.zeros((n, n), dtype=bool)
     linked[np.arange(n)[:, None], np.argsort(dist, axis=1, kind="stable")[:, :kk]] = True
     # symmetrize: undirected neighbourhoods, direction-specific features
-    return np.argwhere(linked | linked.T)
+    return np.argwhere(linked | linked.T).astype(np.int32)
 
 
 def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
     """Node features [x_center, y_center, w, h], k-NN edges and per-edge
-    geometry, all read from one N x 4 box array."""
-    if len(frame.objects) == 0:
+    geometry, all read from the frame's N x 4 box array."""
+    if len(frame.labels) == 0:
         raise ValueError(f"frame {frame.frame_id!r} has no objects")
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
-    labels = np.array([o.label_id for o in frame.objects], dtype=np.int64)
+    labels = frame.labels.copy()
     out_of_range = labels[(labels < 0) | (labels >= n_classes)]
     if out_of_range.size:
         raise ValueError(f"label_id {out_of_range[0]} out of range for {n_classes} classes")
-    bboxes = [o.bbox for o in frame.objects]
-    boxes = np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in bboxes], dtype=np.float64)
+    boxes = frame.boxes
     centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
     node_features = np.column_stack([centers, boxes[:, 2:] - boxes[:, :2]])
     edges = knn_edges(centers, k)
+    bboxes = [BoundingBox(*row) for row in boxes.tolist()]
     # streamed, so that no per-edge Python tuples are held at once
     pairs = zip(edges[:, 0].tolist(), edges[:, 1].tolist())
     edge_features = np.fromiter(
@@ -110,7 +181,7 @@ def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
         node_features=node_features,
         edges=edges,
         edge_features=edge_features,
-        validity=np.ones(len(frame.objects), dtype=bool),
+        validity=np.ones(len(labels), dtype=bool),
         original_labels=labels.copy(),
         current_labels=labels,
         n_classes=n_classes,

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrupt import derive_seed
-from .geometry import BoundingBox
-from .scenegraph import Frame, SceneObject
+from .scenegraph import Frame
 
 DEFAULT_GRID = 7
 MIN_VISIBLE_FRACTION = 0.30
@@ -92,6 +91,5 @@ def render_views(
                 "(template/window parameters incompatible)"
             )
         crops = np.clip((corners[kept] - np.tile(origin, 2)) / size, 0.0, 1.0)
-        objects = zip(kept.tolist(), crops.tolist())
-        frames.append(Frame(frame_id, tuple(SceneObject(c, BoundingBox(*b)) for c, b in objects)))
+        frames.append(Frame.from_arrays(frame_id, crops, kept))
     return frames

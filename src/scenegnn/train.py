@@ -62,8 +62,8 @@ class EpochRecord:
     total_loss: float
     bce: float
     ce: float
-    val_validity_accuracy: float
-    val_label_f1: float
+    val_validity_accuracy: float | None  # None without a validation set
+    val_label_f1: float | None
 
 
 @dataclass
@@ -76,9 +76,9 @@ class TrainHistory:
 
 def _validation_metrics(
     graphs: nn.PackedGraphs | None, params: ModelParams, config: ModelConfig
-) -> tuple[float, float]:
+) -> tuple[float | None, float | None]:
     if graphs is None:
-        return float("nan"), float("nan")
+        return None, None
     report = evaluate_graphs(graphs, params, config)
     return report.validity_accuracy, report.label.weighted_f1
 

@@ -1,6 +1,58 @@
-"""Reference implementations that the tests check the package against."""
+"""Reference implementations that the tests check the package against, and
+inputs at the edges of what they accept."""
+
+import math
 
 import numpy as np
+from hypothesis import strategies as st
+
+# Coordinates on both sides of every bound a box check tests: NaN, infinities,
+# signed zeros, subnormals and the nearest floats outside [0, 1].
+EDGE_COORDS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 0.5,
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+    math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0), -1e-300, 1.5, -0.25,
+]
+
+
+@st.composite
+def corners_near_bounds(draw):
+    """(x_min, y_min, x_max, y_max): a valid box, or one with a coordinate
+    replaced by an edge value, or with swapped corners."""
+    unit = st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0)
+    x0, x1 = sorted((draw(unit), draw(unit)))
+    y0, y1 = sorted((draw(unit), draw(unit)))
+    row = [x0, y0, x1, y1]
+    kind = draw(st.sampled_from(["valid", "edge", "inverted"]))
+    if kind == "edge":
+        row[draw(st.integers(0, 3))] = draw(st.sampled_from(EDGE_COORDS))
+    elif kind == "inverted":
+        axis = draw(st.integers(0, 1))
+        row[axis], row[axis + 2] = row[axis + 2], row[axis]
+    return tuple(row)
+
+
+def edge_rows():
+    """Every EDGE_COORDS value in every position of a valid box."""
+    for i in range(4):
+        for v in EDGE_COORDS:
+            row = [0.25, 0.25, 0.75, 0.75]
+            row[i] = v
+            yield tuple(row)
+
+
+def box_rejection(x_min: float, y_min: float, x_max: float, y_max: float) -> str | None:
+    """The message ``BoundingBox`` raises for these corners, or None: each
+    coordinate in turn must be finite and within [0, 1], then the corners
+    must not be inverted. The reference for ``BoundingBox.__post_init__``."""
+    for name, v in zip(("x_min", "y_min", "x_max", "y_max"), (x_min, y_min, x_max, y_max)):
+        if not math.isfinite(v):
+            return f"non-finite coordinate {name}={v!r}"
+        if not 0.0 <= v <= 1.0:
+            return f"coordinate {name}={v} outside [0, 1]"
+    if x_min > x_max or y_min > y_max:
+        return f"inverted box ({x_min}, {y_min}, {x_max}, {y_max})"
+    return None
 
 
 def normalize_edge_features(edge_features: np.ndarray) -> np.ndarray:

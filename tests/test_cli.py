@@ -285,6 +285,40 @@ class TestTrainCommand:
         assert f"error: {field} must be" in err
         assert not ckpt.exists()
 
+    def test_no_validation_frames_reported_as_null(self, capsys, tmp_path):
+        # 3 frames split into 2 train, 0 validation and 1 test frame
+        data = str(tmp_path / "data.jsonl")
+        code, _, err = _run(capsys, ["synth", "--classes", "6", "--frames", "3", "--out", data])
+        assert code == EXIT_OK, err
+        ckpt = str(tmp_path / "m.ckpt")
+        code, out, err = _run(capsys, ["train", "--data", data, "--epochs", "2", "--out", ckpt])
+        assert code == EXIT_OK, err
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        summary = json.loads(out, parse_constant=reject)
+        history = json.loads(Path(ckpt + ".history.json").read_text(), parse_constant=reject)
+        assert summary["val_validity_accuracy"] is None and summary["val_label_f1"] is None
+        assert len(history) == 2
+        for epoch in history:
+            assert epoch["val_validity_accuracy"] is None and epoch["val_label_f1"] is None
+
+
+class TestCorruptCommand:
+    def test_empty_frame_names_the_frame(self, capsys, tmp_path):
+        data = tmp_path / "frames.jsonl"
+        data.write_text(
+            '{"n_classes": 3, "format_version": 1}\n'
+            '{"frame_id": "a", "objects": [{"class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2]}]}\n'
+            '{"frame_id": "b", "objects": []}\n'
+        )
+        out_path = tmp_path / "corrupt.jsonl"
+        code, out, err = _run(capsys, ["corrupt", "--data", str(data), "--out", str(out_path)])
+        assert code == EXIT_INPUT and out == ""
+        assert "error: frame 'b' has no objects" in err
+        assert not out_path.exists()
+
 
 class TestImports:
     def test_package_does_not_import_scipy(self):

@@ -17,6 +17,7 @@ from scenegnn.metrics import Detection
 from scenegnn.model import ModelConfig, ModelParams, init_model
 from scenegnn.nn import LinearHead, SageLayer, param_items
 from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject
+from scenegnn.synth import gen_template, render_views
 from scenegnn.train import build_dataset, train
 
 
@@ -252,8 +253,11 @@ class TestCorrectionProperties:
 
 class TestMemoryBudget:
     # Traced peak of correcting one dense frame, per directed edge, against
-    # the 64 B/edge that the finished graph holds (edges and edge features).
+    # the 56 B/edge that the finished graph holds (edges and edge features).
     BYTES_PER_EDGE = 150
+    # Traced bytes that rendered views hold per object: boxes and labels
+    # (40 B) plus each frame's arrays, id and object.
+    BYTES_PER_OBJECT = 160
 
     def test_dense_frame_peak_per_edge(self):
         config = ModelConfig(n_classes=39, k=ALL_NEIGHBORS)
@@ -269,6 +273,19 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert len(out) == n
         assert peak / (n * (n - 1)) < self.BYTES_PER_EDGE
+
+    def test_rendered_views_bytes_per_object(self):
+        template = gen_template(39, 0)
+        render_views(template, 3, seed=1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            frames = render_views(template, 500, dropout_prob=0.05, seed=2)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_objects = sum(len(f.objects) for f in frames)
+        assert n_objects > 4000
+        assert held / n_objects < self.BYTES_PER_OBJECT
 
 
 class TestSimulateDetector:

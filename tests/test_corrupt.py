@@ -86,9 +86,18 @@ def test_jittered_boxes_stay_valid():
             assert 0.0 <= o.bbox.y_min <= o.bbox.y_max <= 1.0
 
 
+def test_input_frame_bytes_unchanged():
+    frame = make_frame(8)
+    boxes, labels = frame.boxes.tobytes(), frame.labels.tobytes()
+    cfg = CorruptionConfig(rho=5, jitter_sigma=0.05, seed=2)
+    out, validity, _ = corrupt_frame(frame, cfg, frame_rng(cfg, frame.frame_id), 10)
+    assert (~validity).any() and out.boxes.tobytes() != boxes
+    assert frame.boxes.tobytes() == boxes and frame.labels.tobytes() == labels
+
+
 def test_empty_frame_rejected():
     cfg = CorruptionConfig(rho=1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="frame 'e' has no objects"):
         corrupt_frame(Frame("e", ()), cfg, np.random.default_rng(0), 10)
 
 

@@ -13,6 +13,8 @@ from scenegnn.geometry import (
     pairwise_geometry,
 )
 
+from oracles import box_rejection, corners_near_bounds, edge_rows
+
 coord = st.floats(0.0, 1.0, allow_nan=False)
 
 
@@ -25,6 +27,16 @@ def boxes(draw, min_side=0.0):
     return BoundingBox(x0, y0, x1, y1)
 
 
+def assert_checked_as_reference(corners):
+    expected = box_rejection(*corners)
+    if expected is None:
+        assert BoundingBox(*corners).corners == corners
+    else:
+        with pytest.raises(ValueError) as info:
+            BoundingBox(*corners)
+        assert str(info.value) == expected
+
+
 class TestBoundingBox:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -33,6 +45,15 @@ class TestBoundingBox:
             BoundingBox(-0.1, 0.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             BoundingBox(0.0, 0.0, float("nan"), 0.5)
+
+    @given(corners_near_bounds())
+    @settings(max_examples=400)
+    def test_accepts_and_rejects_as_the_reference(self, corners):
+        assert_checked_as_reference(corners)
+
+    def test_every_edge_value_in_every_position(self):
+        for corners in edge_rows():
+            assert_checked_as_reference(corners)
 
     def test_derived_quantities(self):
         b = BoundingBox(0.2, 0.2, 0.4, 0.6)

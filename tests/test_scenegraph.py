@@ -15,7 +15,7 @@ from scenegnn.scenegraph import (
     normalize_edge_column,
 )
 
-from oracles import normalize_edge_features
+from oracles import corners_near_bounds, edge_rows, normalize_edge_features
 
 
 def obj(label, x0, y0, x1, y1):
@@ -93,6 +93,82 @@ def node_features(o, n_classes):
 
 def centers(objs):
     return np.array([o.bbox.center for o in objs])
+
+
+def assert_checked_as_bounding_box(rows):
+    """Frame.from_arrays raises BoundingBox's message for the first row that
+    BoundingBox rejects, and accepts the rows when it rejects none."""
+    labels = list(range(len(rows)))
+    for row in rows:
+        try:
+            BoundingBox(*row)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                Frame.from_arrays("f", rows, labels)
+            assert str(info.value) == str(exc)
+            return
+    assert Frame.from_arrays("f", rows, labels).boxes.tolist() == [list(r) for r in rows]
+
+
+class TestFrameArrays:
+    @given(st.lists(corners_near_bounds(), max_size=6))
+    @settings(max_examples=400)
+    def test_accepts_and_rejects_exactly_as_bounding_box(self, rows):
+        assert_checked_as_bounding_box(rows)
+
+    def test_every_edge_value_in_every_position(self):
+        for row in edge_rows():
+            assert_checked_as_bounding_box([(0.1, 0.2, 0.3, 0.4), row])
+
+    @given(adversarial_frames())
+    def test_objects_round_trip_bit_for_bit(self, case):
+        frame, _ = case
+        objects = frame.objects
+        assert np.array([o.bbox.corners for o in objects]).tobytes() == frame.boxes.tobytes()
+        assert [o.label_id for o in objects] == frame.labels.tolist()
+        assert all(type(o.label_id) is int for o in objects)
+        back = Frame("f", objects)
+        assert back.boxes.tobytes() == frame.boxes.tobytes()
+        assert back.labels.tobytes() == frame.labels.tobytes()
+        assert back == frame and back.objects == objects
+
+    def test_signed_zero_and_subnormal_kept(self):
+        row = [-0.0, 5e-324, 0.5, 1.0]
+        (o,) = Frame.from_arrays("f", [row], [3]).objects
+        assert np.array(o.bbox.corners).tobytes() == np.array(row).tobytes()
+
+    def test_arrays_are_read_only_copies(self):
+        boxes = np.array([[0.1, 0.1, 0.2, 0.2], [0.3, 0.3, 0.5, 0.6]])
+        labels = np.array([4, 2])
+        frame = Frame.from_arrays("f", boxes, labels)
+        with pytest.raises(ValueError, match="read-only"):
+            frame.boxes[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            frame.labels[0] = 1
+        boxes[0, 0], labels[0] = 0.0, 1
+        assert frame.boxes[0, 0] == 0.1 and frame.labels[0] == 4
+        assert frame.boxes.dtype == np.float64 and frame.labels.dtype == np.int64
+
+    def test_compares_by_value(self):
+        rows, labels = [[0.1, 0.1, 0.2, 0.2]], [1]
+        frame = Frame.from_arrays("f", rows, labels)
+        assert frame == Frame("f", (obj(1, 0.1, 0.1, 0.2, 0.2),))
+        assert frame != Frame.from_arrays("g", rows, labels)
+        assert frame != Frame.from_arrays("f", rows, [2])
+        assert frame != Frame.from_arrays("f", [[0.1, 0.1, 0.2, 0.3]], labels)
+
+    @pytest.mark.parametrize(
+        "boxes, labels",
+        [([[0.1, 0.1, 0.2, 0.2]], [1, 2]), ([0.1, 0.1, 0.2, 0.2], [1]), ([[0.1, 0.2]], [1])],
+    )
+    def test_rejects_mismatched_shapes(self, boxes, labels):
+        with pytest.raises(ValueError, match="expected N x 4 boxes and N labels"):
+            Frame.from_arrays("f", boxes, labels)
+
+    def test_empty_frame(self):
+        frame = Frame("e", ())
+        assert frame.boxes.shape == (0, 4) and frame.labels.shape == (0,)
+        assert frame.objects == () and frame == Frame.from_arrays("e", [], [])
 
 
 class TestNodeFeatures:
@@ -187,7 +263,7 @@ class TestBuildGraph:
     def test_adversarial_frames_match_scalar_reference(self, case, k):
         frame, n_classes = case
         g = build_graph(frame, k, n_classes)
-        assert g.edges.dtype == np.int64 and g.edges.shape == (g.n_edges, 2)
+        assert g.edges.dtype == np.int32 and g.edges.shape == (g.n_edges, 2)
         assert g.edges.tolist() == reference_edges(frame, k)
         expected = np.array(
             [
