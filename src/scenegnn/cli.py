@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import dataio
-from .corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame_rng
+from .corrupt import CorruptionConfig, corrupt_frame, derive_seed
 from .correct import correct_detections, resolve_tau
 from .metrics import evaluate_graphs, map50
 from .model import (
@@ -134,9 +134,7 @@ def _cmd_corrupt(args) -> dict:
     records = []
     n_invalid = 0
     for rec in dataset.records:
-        frame, validity, original = corrupt_frame(
-            rec.frame, cfg, frame_rng(cfg, rec.frame.frame_id), dataset.n_classes
-        )
+        frame, validity, original = corrupt_frame(rec.frame, cfg, dataset.n_classes)
         n_invalid += int((~validity).sum())
         records.append(
             dataio.FrameRecord(frame=frame, validity=validity, original_labels=original)

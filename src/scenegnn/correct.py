@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame_rng
+from .corrupt import CorruptionConfig, corrupt_frame, derive_seed
 from .geometry import BoundingBox
 from .metrics import Detection
 from .model import ModelConfig, ModelParams, chunked, predict
@@ -121,7 +121,7 @@ def simulate_detector(
     cc = CorruptionConfig(rho=rho_det, jitter_sigma=sigma_det, seed=seed)
     detections: list[Detection] = []
     for frame in frames:
-        noisy, _, _ = corrupt_frame(frame, cc, frame_rng(cc, frame.frame_id), n_classes)
+        noisy, _, _ = corrupt_frame(frame, cc, n_classes)
         conf_rng = np.random.default_rng(
             derive_seed(seed, f"detconf/{frame.frame_id}")
         )

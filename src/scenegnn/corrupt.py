@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import clamp_box
 from .scenegraph import Frame
 
 
@@ -20,8 +20,8 @@ class CorruptionConfig:
     def __post_init__(self) -> None:
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -36,17 +36,14 @@ def frame_rng(cfg: CorruptionConfig, frame_id: str) -> np.random.Generator:
 
 
 def corrupt_frame(
-    frame: Frame,
-    cfg: CorruptionConfig,
-    rng: np.random.Generator,
-    n_classes: int,
+    frame: Frame, cfg: CorruptionConfig, n_classes: int
 ) -> tuple[Frame, np.ndarray, np.ndarray]:
     """Corrupt up to rho objects; returns (frame, validity, original_labels).
 
-    Draws m ~ Uniform{1..min(rho, N)}, picks m distinct objects, swaps each
-    label to a different uniformly-drawn class and jitters the four corner
-    coordinates with N(0, sigma^2) noise (re-ordered and clamped to [0, 1]).
-    rho = 0 is a no-op.
+    Draws from frame_rng(cfg, frame.frame_id) m ~ Uniform{1..min(rho, N)},
+    picks m distinct objects, swaps each label to a different uniformly-drawn
+    class and jitters the four corner coordinates with N(0, sigma^2) noise
+    (re-ordered and clamped to [0, 1]). rho = 0 is a no-op.
     """
     n = len(frame.labels)
     if n == 0:
@@ -59,6 +56,7 @@ def corrupt_frame(
     if cfg.rho == 0:
         return frame, validity, original
 
+    rng = frame_rng(cfg, frame.frame_id)
     m = int(rng.integers(1, min(cfg.rho, n) + 1))
     selected = rng.choice(n, size=m, replace=False)
     labels, boxes = frame.labels.copy(), frame.boxes.copy()
@@ -70,7 +68,8 @@ def corrupt_frame(
         labels[i] = new
         if cfg.jitter_sigma > 0.0:
             noise = rng.normal(0.0, cfg.jitter_sigma, size=4)
-            boxes[i] = clamp_box(*(boxes[i] + noise).tolist()).corners
+            # (x_min, y_min) over (x_max, y_max): the sort orders each axis
+            boxes[i] = np.clip(np.sort((boxes[i] + noise).reshape(2, 2), axis=0).ravel(), 0.0, 1.0)
         validity[i] = False
 
     return Frame.from_arrays(frame.frame_id, boxes, labels), validity, original

@@ -57,14 +57,6 @@ class BoundingBox:
         return (self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0
 
 
-def clamp_box(x_min: float, y_min: float, x_max: float, y_max: float) -> BoundingBox:
-    """Re-order corners and clamp them into [0, 1]."""
-    lo_x, hi_x = sorted((x_min, x_max))
-    lo_y, hi_y = sorted((y_min, y_max))
-    clip = lambda v: min(1.0, max(0.0, v))
-    return BoundingBox(clip(lo_x), clip(lo_y), clip(hi_x), clip(hi_y))
-
-
 def iou_corners(a: Sequence[float], b: Sequence[float]) -> float:
     """Intersection over union of two boxes given by their corners
     (x_min, y_min, x_max, y_max); 0 when the union has zero area."""

@@ -172,11 +172,9 @@ class EvalReport:
     validity_accuracy: float
     label: LabelMetrics
     n_nodes: int
-    per_class_ap: dict[int, float] | None = None
-    map50: float | None = None
 
     def to_jsonable(self) -> dict:
-        out = {
+        return {
             "validity_accuracy": self.validity_accuracy,
             "label_accuracy": self.label.accuracy,
             "weighted_precision": self.label.weighted_precision,
@@ -188,10 +186,6 @@ class EvalReport:
             "no_invalid_nodes": self.label.no_invalid_nodes,
             "zero_support_classes": self.label.zero_support_classes,
         }
-        if self.map50 is not None:
-            out["map50"] = self.map50
-            out["per_class_ap"] = {str(k): v for k, v in (self.per_class_ap or {}).items()}
-        return out
 
 
 def evaluate_graphs(

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nn
 from .nn import ModelParams, param_items, set_param
-from .scenegraph import SceneGraph, check_k
+from .scenegraph import SceneGraph, check_k, is_integer
 
 CHECKPOINT_MAGIC = b"#scenegnn-checkpoint\n"
 CHECKPOINT_VERSION = 1
@@ -52,29 +52,27 @@ class ModelConfig:
     hidden_dim: int = 64
     k: int | str = 5  # neighbourhood size or "all"
     rho: int = 1  # anomaly ratio used when building training data
-    lam_valid: float = 1.0
-    lam_label: float = 2.0
     validity_threshold: float = 0.5
     lr: float = 0.001
     epochs: int = 30
     batch_size: int = 16
-    jitter_sigma: float = 0.01
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
+        for name, low in (
+            ("n_classes", 2), ("hidden_dim", 1), ("rho", 0), ("epochs", 1), ("batch_size", 1),
+            ("seed", 0),  # init_model seeds numpy with it
+        ):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            setattr(self, name, int(value))
         if not 0.0 < self.validity_threshold < 1.0:
             raise ValueError("validity_threshold must be in (0, 1)")
-        if self.lam_valid < 0 or self.lam_label < 0:
-            raise ValueError("loss weights must be >= 0")
         if not 0.0 <= self.lr < float("inf"):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.k = check_k(self.k)
 
     @property
@@ -228,6 +226,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointFormatError(
                 f"{path}: {key} {value!r} is not supported, only {supported!r}"
             )
+    # training settings that older checkpoints record: inference never reads them
+    for key in ("lam_valid", "lam_label", "jitter_sigma"):
+        fields.pop(key, None)
     try:
         config = ModelConfig(**fields)
     except (TypeError, ValueError) as exc:

@@ -24,6 +24,7 @@ import numpy as np
 from .scenegraph import SceneGraph, normalize_edge_column
 
 LOG_EPS = 1e-12
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
 
 
 class NumericalError(RuntimeError):
@@ -332,8 +333,8 @@ def backward(
     params: ModelParams,
     cache: ForwardCache,
     batch: GraphBatch,
-    lam_valid: float = 1.0,
-    lam_label: float = 1.0,
+    lam_valid: float,
+    lam_label: float,
     out: ModelParams | None = None,
 ) -> ModelParams:
     """Exact gradients of lam_valid * bce + lam_label * ce, the two terms of
@@ -416,10 +417,7 @@ class AdamState:
     grads: ModelParams
     m: np.ndarray
     v: np.ndarray
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     t: int = 0
 
     def __post_init__(self) -> None:
@@ -428,45 +426,40 @@ class AdamState:
         self._den = np.empty_like(self.params)
 
     @classmethod
-    def for_params(cls, params: ModelParams, lr: float = 0.001, **kw) -> "AdamState":
+    def for_params(cls, params: ModelParams, lr: float) -> "AdamState":
         flat = np.concatenate([arr.ravel() for _, arr in param_items(params)], dtype=np.float64)
         for name, view in param_items(_views(params, flat)):
             set_param(params, name, view)
         grad = np.zeros_like(flat)
         return cls(
             params=flat, grad=grad, grads=_views(params, grad),
-            m=np.zeros_like(flat), v=np.zeros_like(flat), lr=lr, **kw,
+            m=np.zeros_like(flat), v=np.zeros_like(flat), lr=lr,
         )
 
 
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None:
-    """In-place bias-corrected Adam update of ``params``, the model that
-    ``state`` was made for; a non-finite gradient raises before anything
-    changes. ``state.grads`` is read where backward wrote it; other
-    gradients are first copied into ``state.grad``."""
-    if any(arr.base is not state.params for _, arr in param_items(params)):
-        raise ValueError("params are not the model this AdamState was made for")
+def adam_step(state: AdamState) -> None:
+    """In-place bias-corrected Adam update of the model that ``state`` was
+    made for, from the gradient that backward wrote into ``state.grads``; a
+    non-finite gradient raises before anything changes."""
     g = state.grad
-    if grads is not state.grads:
-        np.concatenate([arr.ravel() for _, arr in param_items(grads)], out=g)
     if not np.isfinite(g).all():
-        name = next(n for n, arr in param_items(grads) if not np.isfinite(arr).all())
+        name = next(n for n, arr in param_items(state.grads) if not np.isfinite(arr).all())
         raise NumericalError(f"non-finite gradient in {name}")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     m, v, num, den = state.m, state.v, state._num, state._den
     # the operations, in order, of
     # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
     # params -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=num)
-    v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=num)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=num)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=num)
     v += np.multiply(num, g, out=num)
     np.divide(m, bc1, out=num)
     num *= state.lr
     np.divide(v, bc2, out=den)
     np.sqrt(den, out=den)
-    den += state.eps
+    den += EPS
     state.params -= np.divide(num, den, out=num)

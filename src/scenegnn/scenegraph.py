@@ -123,11 +123,18 @@ class SceneGraph:
         return self.edges.shape[0]
 
 
+def is_integer(value: object) -> bool:
+    """An int or a numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_k(k: KOrAll) -> KOrAll:
-    """``k`` as a neighbourhood size: "all", or an int of at least 1."""
+    """``k`` as a neighbourhood size: "all", or an integer of at least 1."""
     if k == ALL_NEIGHBORS:
         return k
-    if int(k) < 1:
+    if not is_integer(k):
+        raise ValueError(f"k must be 'all' or an integer, got {k!r}")
+    if k < 1:
         raise ValueError(f"k must be >= 1 or 'all', got {k}")
     return int(k)
 

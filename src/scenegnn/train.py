@@ -8,23 +8,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame_rng
+from .corrupt import CorruptionConfig, corrupt_frame, derive_seed
 from .metrics import evaluate_graphs
 from .model import ModelConfig, ModelParams, _check_compatible, init_model
 from .scenegraph import Frame, SceneGraph, build_graph
 
+# The training loss's weights of the validity BCE and the label CE, and the
+# shares of frames that go to training and validation (the rest is test).
+LAM_VALID, LAM_LABEL = 1.0, 2.0
+TRAIN_SHARE, VAL_SHARE = 0.70, 0.15
+
 
 def split_dataset(
-    frames: list[Frame],
-    seed: int,
-    ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
+    frames: list[Frame], seed: int
 ) -> tuple[list[Frame], list[Frame], list[Frame]]:
     """Seeded frame-level split; floor counts for train/val, remainder to test."""
     if len(frames) < 3:
         raise ValueError("need at least 3 frames to split")
     order = np.random.default_rng(derive_seed(seed, "split")).permutation(len(frames))
-    n_train = int(len(frames) * ratios[0])
-    n_val = int(len(frames) * ratios[1])
+    n_train = int(len(frames) * TRAIN_SHARE)
+    n_val = int(len(frames) * VAL_SHARE)
     shuffled = [frames[i] for i in order]
     return (
         shuffled[:n_train],
@@ -41,14 +44,12 @@ def build_dataset(
     Corruption happens after splitting, so a frame's twin can never leak
     across splits.
     """
-    cc = CorruptionConfig(rho=config.rho, jitter_sigma=config.jitter_sigma, seed=seed)
+    cc = CorruptionConfig(rho=config.rho, seed=seed)
     graphs: list[SceneGraph] = []
     for frame in frames:
         clean = build_graph(frame, config.k, config.n_classes)
         graphs.append(clean)
-        bad, validity, original = corrupt_frame(
-            frame, cc, frame_rng(cc, frame.frame_id), config.n_classes
-        )
+        bad, validity, original = corrupt_frame(frame, cc, config.n_classes)
         g = build_graph(bad, config.k, config.n_classes)
         g.validity = validity
         g.original_labels = original
@@ -91,10 +92,10 @@ def train(
     """Fixed-epoch Adam training; returns (final, best-validation, history).
 
     Mini-batches are whole graphs; per-graph node-mean losses are averaged
-    within each batch, and the label head's CE is weighted on corrupted
-    nodes only. Both sets are packed once, and every batch is
-    gathered from the packed set. Without a validation set the best
-    checkpoint is the final one.
+    within each batch, the loss is LAM_VALID * BCE + LAM_LABEL * CE, and the
+    label head's CE is weighted on corrupted nodes only. Both sets are
+    packed once, and every batch is gathered from the packed set. Without a
+    validation set the best checkpoint is the final one.
     """
     if not train_graphs:
         raise ValueError("empty training set")
@@ -118,15 +119,13 @@ def train(
             batch = nn.make_batch(train_set, ids)
             cache = nn.full_forward(params, batch)
             bce, ce = nn.loss_components(cache, batch)
-            loss = config.lam_valid * bce + config.lam_label * ce
+            loss = LAM_VALID * bce + LAM_LABEL * ce
             if not np.isfinite(loss):
                 raise nn.NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
-            grads = nn.backward(
-                params, cache, batch, config.lam_valid, config.lam_label, out=state.grads
-            )
-            nn.adam_step(params, grads, state)
+            nn.backward(params, cache, batch, LAM_VALID, LAM_LABEL, out=state.grads)
+            nn.adam_step(state)
             epoch_losses.append(loss)
             epoch_bce.append(bce)
             epoch_ce.append(ce)

@@ -6,6 +6,8 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from scenegnn.geometry import BoundingBox
+
 # Coordinates on both sides of every bound a box check tests: NaN, infinities,
 # signed zeros, subnormals and the nearest floats outside [0, 1].
 EDGE_COORDS = [
@@ -53,6 +55,16 @@ def box_rejection(x_min: float, y_min: float, x_max: float, y_max: float) -> str
     if x_min > x_max or y_min > y_max:
         return f"inverted box ({x_min}, {y_min}, {x_max}, {y_max})"
     return None
+
+
+def clamp_box(x_min: float, y_min: float, x_max: float, y_max: float) -> BoundingBox:
+    """Re-order corners and clamp them into [0, 1], one coordinate at a time:
+    the reference for the row expressions of ``render_views`` and
+    ``corrupt_frame``."""
+    lo_x, hi_x = sorted((x_min, x_max))
+    lo_y, hi_y = sorted((y_min, y_max))
+    clip = lambda v: min(1.0, max(0.0, v))
+    return BoundingBox(clip(lo_x), clip(lo_y), clip(hi_x), clip(hi_y))
 
 
 def normalize_edge_features(edge_features: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +267,34 @@ class TestCheckpointInput:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("hidden_dim", 8.5), ("n_classes", 5.0), ("hidden_dim", True), ("k", 2.7), ("k", "3"),
+         ("seed", -1)],
+    )
+    def test_bad_config_value_exits_1(self, capsys, tmp_path, key, value):
+        config = ModelConfig(n_classes=3, hidden_dim=8)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(config), config, str(ckpt))
+        blob = ckpt.read_bytes()
+        nl = blob.index(b"\n", len(CHECKPOINT_MAGIC))
+        header = json.loads(blob[len(CHECKPOINT_MAGIC): nl])
+        header["config"][key] = value
+        ckpt.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + blob[nl:])
+        frames = _small_gt(str(tmp_path / "gt.jsonl"))
+        det_path = str(tmp_path / "dets.jsonl")
+        write_detections(det_path, [Detection("f0", 0, frames[0].objects[0].bbox, 0.9)])
+        out_path = tmp_path / "fixed.jsonl"
+        code, out, err = _run(
+            capsys,
+            ["correct", "--detections", det_path, "--checkpoint", str(ckpt),
+             "--out", str(out_path)],
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert f"bad config: {key} must be" in err and "internal error" not in err
+        assert not out_path.exists()
+
+
 class TestTrainCommand:
     @pytest.mark.parametrize(
         "flag, value, field",
@@ -283,6 +313,17 @@ class TestTrainCommand:
         code, _, err = _run(capsys, ["train", "--data", data, "--out", str(ckpt), flag, value])
         assert code == EXIT_INPUT
         assert f"error: {field} must be" in err
+        assert not ckpt.exists()
+
+    def test_negative_seed_exits_1(self, capsys, tmp_path):
+        # such a checkpoint could not be loaded: init_model seeds numpy with it
+        data = str(tmp_path / "data.jsonl")
+        code, _, err = _run(capsys, ["synth", "--classes", "4", "--frames", "12", "--out", data])
+        assert code == EXIT_OK, err
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = _run(capsys, ["--seed", "-1", "train", "--data", data, "--out", str(ckpt)])
+        assert code == EXIT_INPUT
+        assert "error: seed must be >= 0, got -1" in err
         assert not ckpt.exists()
 
     def test_no_validation_frames_reported_as_null(self, capsys, tmp_path):
@@ -320,6 +361,20 @@ class TestCorruptCommand:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_sigma_exits_1(self, capsys, tmp_path, sigma):
+        data = str(tmp_path / "data.jsonl")
+        code, _, err = _run(capsys, ["synth", "--classes", "4", "--frames", "5", "--out", data])
+        assert code == EXIT_OK, err
+        out_path = tmp_path / "corrupt.jsonl"
+        code, out, err = _run(
+            capsys, ["corrupt", "--data", data, "--sigma", sigma, "--out", str(out_path)]
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert "error: jitter_sigma must be finite and >= 0" in err
+        assert not out_path.exists()
+
+
 class TestImports:
     def test_package_does_not_import_scipy(self):
         src = str(Path(scenegnn.__file__).resolve().parents[1])
@@ -332,6 +387,27 @@ class TestImports:
             env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_package_imports_numpy_and_the_standard_library_only(self):
+        package = Path(scenegnn.__file__).resolve().parent
+        allowed = set(sys.stdlib_module_names) | {"numpy", "scenegnn"}
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:  # relative imports stay inside the package
+                    continue
+                for name in names:
+                    assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno}: {name}"
+
+    def test_project_depends_on_numpy_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        names = [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in project["dependencies"]]
+        assert names == ["numpy"]
 
 
 class TestMapCommand:

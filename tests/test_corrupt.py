@@ -5,6 +5,8 @@ from scenegnn.corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame
 from scenegnn.geometry import BoundingBox
 from scenegnn.scenegraph import Frame, SceneObject
 
+from oracles import clamp_box
+
 
 def make_frame(n_objects, n_classes=10, seed=0):
     rng = np.random.default_rng(seed)
@@ -21,10 +23,28 @@ def make_frame(n_objects, n_classes=10, seed=0):
     return Frame("frame_0", tuple(objs))
 
 
+def scalar_corrupt_frame(frame, cfg, n_classes):
+    """corrupt_frame one object at a time, with clamp_box: the oracle for its
+    row expression and for the order of its draws from the frame's stream."""
+    rng = frame_rng(cfg, frame.frame_id)
+    objects, validity = list(frame.objects), [True] * len(frame.objects)
+    m = int(rng.integers(1, min(cfg.rho, len(objects)) + 1))
+    for i in rng.choice(len(objects), size=m, replace=False).tolist():
+        new = int(rng.integers(0, n_classes - 1))
+        if new >= objects[i].label_id:
+            new += 1
+        bbox = objects[i].bbox
+        if cfg.jitter_sigma > 0.0:
+            noise = rng.normal(0.0, cfg.jitter_sigma, size=4).tolist()
+            bbox = clamp_box(*(c + e for c, e in zip(bbox.corners, noise)))
+        objects[i], validity[i] = SceneObject(new, bbox), False
+    return Frame(frame.frame_id, tuple(objects)), validity
+
+
 def test_rho_zero_is_noop():
     frame = make_frame(5)
     cfg = CorruptionConfig(rho=0, jitter_sigma=0.05, seed=1)
-    out, validity, original = corrupt_frame(frame, cfg, frame_rng(cfg, frame.frame_id), 10)
+    out, validity, original = corrupt_frame(frame, cfg, 10)
     assert out is frame
     assert validity.all()
     assert np.array_equal(original, [o.label_id for o in frame.objects])
@@ -33,7 +53,7 @@ def test_rho_zero_is_noop():
 def test_rho_one_zero_jitter():
     frame = make_frame(6)
     cfg = CorruptionConfig(rho=1, jitter_sigma=0.0, seed=2)
-    out, validity, original = corrupt_frame(frame, cfg, frame_rng(cfg, frame.frame_id), 10)
+    out, validity, original = corrupt_frame(frame, cfg, 10)
     assert (~validity).sum() == 1
     i = int(np.where(~validity)[0][0])
     assert out.objects[i].label_id != frame.objects[i].label_id
@@ -43,11 +63,10 @@ def test_rho_one_zero_jitter():
 
 def test_rho_exceeding_frame_size():
     frame = make_frame(3)
-    cfg = CorruptionConfig(rho=5, jitter_sigma=0.0, seed=0)
     counts = set()
     for trial in range(10_000):
-        rng = np.random.default_rng(derive_seed(trial, "t"))
-        _, validity, _ = corrupt_frame(frame, cfg, rng, 10)
+        cfg = CorruptionConfig(rho=5, jitter_sigma=0.0, seed=trial)
+        _, validity, _ = corrupt_frame(frame, cfg, 10)
         m = int((~validity).sum())
         assert 1 <= m <= 3
         counts.add(m)
@@ -56,10 +75,9 @@ def test_rho_exceeding_frame_size():
 
 def test_swapped_label_never_equals_original():
     frame = make_frame(8, n_classes=3)
-    cfg = CorruptionConfig(rho=4, jitter_sigma=0.02, seed=0)
     for trial in range(500):
-        rng = np.random.default_rng(trial)
-        out, validity, original = corrupt_frame(frame, cfg, rng, 3)
+        cfg = CorruptionConfig(rho=4, jitter_sigma=0.02, seed=trial)
+        out, validity, original = corrupt_frame(frame, cfg, 3)
         for i in np.where(~validity)[0]:
             assert out.objects[i].label_id != original[i]
             assert 0 <= out.objects[i].label_id < 3
@@ -70,17 +88,17 @@ def test_swapped_label_never_equals_original():
 def test_determinism():
     frame = make_frame(7)
     cfg = CorruptionConfig(rho=3, jitter_sigma=0.05, seed=42)
-    a, va, oa = corrupt_frame(frame, cfg, frame_rng(cfg, frame.frame_id), 10)
-    b, vb, ob = corrupt_frame(frame, cfg, frame_rng(cfg, frame.frame_id), 10)
+    a, va, oa = corrupt_frame(frame, cfg, 10)
+    b, vb, ob = corrupt_frame(frame, cfg, 10)
     assert a == b
     assert np.array_equal(va, vb) and np.array_equal(oa, ob)
 
 
 def test_jittered_boxes_stay_valid():
     frame = make_frame(6)
-    cfg = CorruptionConfig(rho=6, jitter_sigma=0.5, seed=3)
     for trial in range(200):
-        out, _, _ = corrupt_frame(frame, cfg, np.random.default_rng(trial), 10)
+        cfg = CorruptionConfig(rho=6, jitter_sigma=0.5, seed=trial)
+        out, _, _ = corrupt_frame(frame, cfg, 10)
         for o in out.objects:
             assert 0.0 <= o.bbox.x_min <= o.bbox.x_max <= 1.0
             assert 0.0 <= o.bbox.y_min <= o.bbox.y_max <= 1.0
@@ -90,7 +108,7 @@ def test_input_frame_bytes_unchanged():
     frame = make_frame(8)
     boxes, labels = frame.boxes.tobytes(), frame.labels.tobytes()
     cfg = CorruptionConfig(rho=5, jitter_sigma=0.05, seed=2)
-    out, validity, _ = corrupt_frame(frame, cfg, frame_rng(cfg, frame.frame_id), 10)
+    out, validity, _ = corrupt_frame(frame, cfg, 10)
     assert (~validity).any() and out.boxes.tobytes() != boxes
     assert frame.boxes.tobytes() == boxes and frame.labels.tobytes() == labels
 
@@ -98,14 +116,35 @@ def test_input_frame_bytes_unchanged():
 def test_empty_frame_rejected():
     cfg = CorruptionConfig(rho=1, seed=0)
     with pytest.raises(ValueError, match="frame 'e' has no objects"):
-        corrupt_frame(Frame("e", ()), cfg, np.random.default_rng(0), 10)
+        corrupt_frame(Frame("e", ()), cfg, 10)
 
 
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         CorruptionConfig(rho=-1)
-    with pytest.raises(ValueError):
-        CorruptionConfig(jitter_sigma=-0.5)
+    for sigma in (-0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^jitter_sigma must be finite and >= 0"):
+            CorruptionConfig(jitter_sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.3, 2.0])
+def test_matches_scalar_oracle(sigma):
+    # the frame's stream decides every draw: ids and seeds vary them
+    at_zero = at_one = 0
+    for trial in range(150):
+        frame = make_frame(6, seed=trial)
+        frame = Frame.from_arrays(f"frame_{trial}", frame.boxes, frame.labels)
+        cfg = CorruptionConfig(rho=4, jitter_sigma=sigma, seed=trial % 7)
+        out, validity, original = corrupt_frame(frame, cfg, 10)
+        ref, ref_validity = scalar_corrupt_frame(frame, cfg, 10)
+        assert out.boxes.tobytes() == ref.boxes.tobytes()
+        assert out.labels.tobytes() == ref.labels.tobytes()
+        assert validity.tolist() == ref_validity
+        assert original.tobytes() == frame.labels.tobytes()
+        at_zero += int((out.boxes[~validity] == 0.0).sum())
+        at_one += int((out.boxes[~validity] == 1.0).sum())
+    if sigma >= 0.3:  # clamped at both bounds
+        assert at_zero > 0 and at_one > 0
 
 
 def test_derive_seed_stable_and_distinct():

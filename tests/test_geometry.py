@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from scenegnn.geometry import (
     SIZE_RATIO_CAP,
     BoundingBox,
-    clamp_box,
     iou,
     pairwise_geometry,
 )
 
-from oracles import box_rejection, corners_near_bounds, edge_rows
+from oracles import box_rejection, clamp_box, corners_near_bounds, edge_rows
 
 coord = st.floats(0.0, 1.0, allow_nan=False)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -278,6 +279,10 @@ class TestCheckpoint:
 # the three options that checkpoints written before their removal record, at
 # the values those checkpoints were trained with
 LEGACY_OPTIONS = {"label_encoding": "onehot", "msg_mode": "nodes+edges", "ce_invalid_only": True}
+# Saved before the loss weights and the training jitter became constants: its
+# config holds lam_valid 1.0, lam_label 2.0 and jitter_sigma 0.01, and its
+# parameters come from two epochs of training on 12 rendered views.
+TRAINING_KEYS_CKPT = Path(__file__).parent / "data" / "checkpoint_with_training_keys.ckpt"
 
 
 class TestCheckpointHeader:
@@ -324,6 +329,32 @@ class TestCheckpointHeader:
         for field in ("is_invalid", "corrected_label", "confidence", "validity_prob"):
             assert getattr(pa, field).tobytes() == getattr(pb, field).tobytes(), field
 
+    @pytest.mark.parametrize("lam_label", [2.0, 5.0])
+    def test_checkpoint_with_training_keys_loads_bit_identically(self, tmp_path, lam_label):
+        path = str(tmp_path / "old.ckpt")
+        Path(path).write_bytes(TRAINING_KEYS_CKPT.read_bytes())
+        edit_header(path, lambda h: {**h, "config": {**h["config"], "lam_label": lam_label}})
+        header = json.loads(Path(path).read_bytes().split(b"\n")[1])
+        assert {k: header["config"][k] for k in ("lam_valid", "lam_label", "jitter_sigma")} == {
+            "lam_valid": 1.0, "lam_label": lam_label, "jitter_sigma": 0.01}
+        old = load_checkpoint(path)
+        assert old.config == ModelConfig(
+            n_classes=4, hidden_dim=4, k=3, epochs=2, batch_size=4, seed=7
+        )
+        blob = b"".join(a.astype("<f8").tobytes() for _, a in nn.param_items(old.params))
+        assert hashlib.sha256(blob).hexdigest() == (
+            "d38655ca349e2bef82ce76d4ab883d1680b63108f143be3622158b425ff4417f"
+        )
+        # saved again, now without the three keys, it predicts the same bits
+        new = str(tmp_path / "new.ckpt")
+        save_checkpoint(old.params, old.config, new)
+        assert b"lam_label" not in Path(new).read_bytes()
+        again = load_checkpoint(new)
+        g = fixed_graph(n=6, n_classes=4, k=3)
+        pa, pb = predict([g], old.params, old.config), predict([g], again.params, again.config)
+        for field in ("is_invalid", "corrected_label", "confidence", "validity_prob"):
+            assert getattr(pa, field).tobytes() == getattr(pb, field).tobytes(), field
+
     @pytest.mark.parametrize(
         "key, value",
         [("label_encoding", "scalar"), ("msg_mode", "nodes"), ("ce_invalid_only", False),
@@ -347,8 +378,8 @@ class TestConfigValidation:
             {"hidden_dim": 0},
             {"validity_threshold": 0.0},
             {"validity_threshold": 1.0},
-            {"lam_valid": -1.0},
-            {"lam_label": -1.0},
+            {"k": 2.7},
+            {"hidden_dim": 8.5},
             {"k": "most"},
             {"k": 0},
         ],
@@ -371,6 +402,36 @@ class TestConfigValidation:
     def test_bad_training_options_name_the_field(self, kw, field):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ModelConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"hidden_dim": 8.5}, "hidden_dim must be an integer, got 8.5"),
+            ({"hidden_dim": True}, "hidden_dim must be an integer, got True"),
+            ({"n_classes": 5.0}, "n_classes must be an integer, got 5.0"),
+            ({"rho": "1"}, "rho must be an integer, got '1'"),
+            ({"rho": -1}, "rho must be >= 0, got -1"),
+            ({"epochs": 3.0}, "epochs must be an integer, got 3.0"),
+            ({"batch_size": False}, "batch_size must be an integer, got False"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"k": 2.7}, "k must be 'all' or an integer, got 2.7"),
+            ({"k": True}, "k must be 'all' or an integer, got True"),
+            ({"k": "3"}, "k must be 'all' or an integer, got '3'"),
+        ],
+    )
+    def test_non_integer_fields_name_the_field(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelConfig(**kw)
+
+    def test_numpy_integers_stored_as_int(self, tmp_path):
+        cfg = ModelConfig(n_classes=np.int64(5), hidden_dim=np.int32(8), k=np.int16(3),
+                          epochs=np.uint8(2), seed=np.int64(4))
+        for name in ("n_classes", "hidden_dim", "k", "epochs", "seed"):
+            assert type(getattr(cfg, name)) is int, name
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_model(cfg), cfg, path)
+        assert load_checkpoint(path).config == cfg
 
     def test_zero_lr_allowed(self):
         assert ModelConfig(lr=0.0).lr == 0.0

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -215,8 +214,8 @@ class TestBackward:
         params = nn.init_params(IN_DIM, 8, N_CLASSES, rng)
         single = nn.make_batch([g])
         double = nn.make_batch([g, g])
-        g1 = nn.backward(params, nn.full_forward(params, single), single)
-        g2 = nn.backward(params, nn.full_forward(params, double), double)
+        g1 = nn.backward(params, nn.full_forward(params, single), single, 1.0, 1.0)
+        g2 = nn.backward(params, nn.full_forward(params, double), double, 1.0, 1.0)
         for (_, a), (_, b) in zip(nn.param_items(g1), nn.param_items(g2)):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
@@ -225,9 +224,9 @@ class TestBackward:
         # previous batch left in the buffer
         rng = np.random.default_rng(16)
         params = nn.init_params(IN_DIM, 8, N_CLASSES, rng)
-        state = nn.AdamState.for_params(params)
+        state = nn.AdamState.for_params(params, lr=0.001)
         other = nn.make_batch([random_graph(n, rng) for n in (7, 3)])
-        nn.backward(params, nn.full_forward(params, other), other, out=state.grads)
+        nn.backward(params, nn.full_forward(params, other), other, 1.0, 1.0, out=state.grads)
         assert np.count_nonzero(state.grad) > state.grad.size // 2
         batch = nn.make_batch([random_graph(n, rng) for n in (5, 4, 1)])
         cache = nn.full_forward(params, batch)
@@ -243,7 +242,7 @@ class TestBackward:
         params = nn.init_params(IN_DIM, 8, N_CLASSES, rng)
         batch = with_messages(nn.make_batch([random_graph(n, rng) for n in (5, 3)]), messages)
         batch.ce_weights = np.zeros(batch.n_nodes)
-        state = nn.AdamState.for_params(params)
+        state = nn.AdamState.for_params(params, lr=0.001)
         state.grad.fill(1.0)  # stale values the label head must overwrite
         grads = nn.backward(
             params, nn.full_forward(params, batch), batch, 1.0, 2.0, out=state.grads
@@ -254,6 +253,12 @@ class TestBackward:
         assert finite_difference_check(params, batch, 1.0, 2.0) < 1e-4
 
 
+def write_grads(state, grads):
+    """Copy ``grads`` into the state's gradient buffer, where backward writes."""
+    for (_, dst), (_, src) in zip(nn.param_items(state.grads), nn.param_items(grads)):
+        dst[...] = src
+
+
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         params = nn.ModelParams(
@@ -262,14 +267,9 @@ class TestAdam:
             valid_head=nn.LinearHead(np.zeros((1, 1)), np.zeros(1)),
             label_head=nn.LinearHead(np.zeros((2, 1)), np.zeros(2)),
         )
-        grads = nn.ModelParams(
-            sage1=nn.SageLayer(np.array([[0.3]]), np.zeros((1, 1)), np.zeros(1)),
-            sage2=nn.SageLayer(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1)),
-            valid_head=nn.LinearHead(np.zeros((1, 1)), np.zeros(1)),
-            label_head=nn.LinearHead(np.zeros((2, 1)), np.zeros(2)),
-        )
         state = nn.AdamState.for_params(params, lr=0.01)
-        nn.adam_step(params, grads, state)
+        state.grads.sage1.w_self[0, 0] = 0.3
+        nn.adam_step(state)
         assert params.sage1.w_self[0, 0] == pytest.approx(2.0 - 0.01, abs=1e-6)
         assert state.t == 1
 
@@ -277,11 +277,9 @@ class TestAdam:
         rng = np.random.default_rng(7)
         params = nn.init_params(5, 4, 3, rng)
         before = {n: a.copy() for n, a in nn.param_items(params)}
-        zeros = nn.init_params(5, 4, 3, rng)
-        for name, _ in nn.param_items(zeros):
-            nn.set_param(zeros, name, np.zeros_like(before[name]))
-        state = nn.AdamState.for_params(params)
-        nn.adam_step(params, zeros, state)
+        state = nn.AdamState.for_params(params, lr=0.001)
+        state.grad.fill(0.0)
+        nn.adam_step(state)
         for name, arr in nn.param_items(params):
             np.testing.assert_array_equal(arr, before[name])
 
@@ -292,7 +290,8 @@ class TestAdam:
             grads = nn.init_params(5, 4, 3, np.random.default_rng(9))
             state = nn.AdamState.for_params(params, lr=0.05)
             for _ in range(10):
-                nn.adam_step(params, grads, state)
+                write_grads(state, grads)
+                nn.adam_step(state)
             return {n: a.copy() for n, a in nn.param_items(params)}
 
         a, b = run(), run()
@@ -300,23 +299,17 @@ class TestAdam:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_non_finite_gradient_aborts(self):
-        # gradients of their own, or written into the state's buffer as
-        # backward writes them in training
-        for bad, in_state in itertools.product(("sage1.bias", "label_head.b"), (False, True)):
+        for bad in ("sage1.bias", "label_head.b"):
             rng = np.random.default_rng(10)
             params = nn.init_params(5, 4, 3, rng)
-            grads = nn.init_params(5, 4, 3, rng)
-            state = nn.AdamState.for_params(params)
-            nn.adam_step(params, grads, state)  # non-zero moments to protect
+            state = nn.AdamState.for_params(params, lr=0.001)
+            write_grads(state, nn.init_params(5, 4, 3, rng))
+            nn.adam_step(state)  # non-zero moments to protect
             before = {n: a.copy() for n, a in nn.param_items(params)}
             m, v = state.m.copy(), state.v.copy()
-            if in_state:
-                for (_, dst), (_, src) in zip(nn.param_items(state.grads), nn.param_items(grads)):
-                    dst[...] = src
-                grads = state.grads
-            dict(nn.param_items(grads))[bad][0] = np.nan
+            dict(nn.param_items(state.grads))[bad][0] = np.nan
             with pytest.raises(nn.NumericalError, match=bad):
-                nn.adam_step(params, grads, state)
+                nn.adam_step(state)
             for name, arr in nn.param_items(params):
                 np.testing.assert_array_equal(arr, before[name])
             np.testing.assert_array_equal(state.m, m)
@@ -329,17 +322,14 @@ class TestAdam:
         params = nn.init_params(5, 4, 3, rng)
         state = nn.AdamState.for_params(params, lr=0.01)
         p, m, v = state.params.copy(), np.zeros_like(state.params), np.zeros_like(state.params)
-        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        b1, b2, lr, eps = nn.BETA1, nn.BETA2, state.lr, nn.EPS
         for t in range(1, 51):
             grads = nn.init_params(5, 4, 3, rng)
             for _, arr in nn.param_items(grads):
                 arr *= 10.0 ** rng.integers(-8, 3)
-            if t % 2:  # every other step through the state's own buffer
-                for (_, dst), (_, src) in zip(nn.param_items(state.grads), nn.param_items(grads)):
-                    dst[...] = src
-                grads = state.grads
+            write_grads(state, grads)
             g = np.concatenate([arr.ravel() for _, arr in nn.param_items(grads)])
-            nn.adam_step(params, grads, state)
+            nn.adam_step(state)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
@@ -347,15 +337,6 @@ class TestAdam:
             assert state.m.tobytes() == m.tobytes()
             assert state.v.tobytes() == v.tobytes()
             assert state.params.tobytes() == p.tobytes()
-
-    def test_params_of_another_model_rejected(self):
-        rng = np.random.default_rng(11)
-        params = nn.init_params(5, 4, 3, rng)
-        state = nn.AdamState.for_params(params)
-        other = nn.init_params(5, 4, 3, rng)
-        with pytest.raises(ValueError):
-            nn.adam_step(other, other, state)
-        assert state.t == 0
 
 
 def reference_batch(graphs):

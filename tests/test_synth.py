@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from scenegnn.corrupt import derive_seed
-from scenegnn.geometry import clamp_box
 from scenegnn.scenegraph import Frame, SceneObject
 from scenegnn.synth import MAX_RETRIES, MIN_VISIBLE_FRACTION, gen_template, render_views
+
+from oracles import clamp_box
 
 
 def scalar_render_views(template, n_frames, view_jitter, dropout_prob, seed):
