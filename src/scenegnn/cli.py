@@ -7,8 +7,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import dataio
 from .corrupt import CorruptionConfig, corrupt_frame, derive_seed
 from .correct import correct_detections, resolve_tau

@@ -79,6 +79,13 @@ def _parse_bbox(raw, line_no: int) -> BoundingBox:
         raise FramesFileError(f"line {line_no}: invalid bbox: {exc}") from exc
 
 
+def _json_str(value, name: str, line_no: int) -> str:
+    """``value`` as it is: a JSON string, never a number or null."""
+    if isinstance(value, str):
+        return value
+    raise FramesFileError(f"line {line_no}: bad {name}: expected a string, got {value!r}")
+
+
 def _json_int(record: dict, key: str, line_no: int, default: int | None = None) -> int:
     """``record[key]`` as an int: a JSON integer or an integral number, never a
     bool or a string. A missing key gives ``default`` when there is one."""
@@ -140,10 +147,10 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
         if extra:
             raise FramesFileError(f"line {line_no}: unknown fields {sorted(extra)}")
     try:
-        frame_id = str(obj["frame_id"])
-        raw_objects = obj["objects"]
+        frame_id, raw_objects = obj["frame_id"], obj["objects"]
     except KeyError as exc:
         raise FramesFileError(f"line {line_no}: missing field {exc}") from exc
+    frame_id = _json_str(frame_id, "frame_id", line_no)
     if not isinstance(raw_objects, list):
         raise FramesFileError(f"line {line_no}: objects must be a list")
     if frame_id in seen_ids:
@@ -230,9 +237,10 @@ def parse_detections(
         bbox = _parse_bbox(obj.get("bbox"), line_no)
         class_id = _json_int(obj, "class_id", line_no)
         try:
-            frame_id, confidence = str(obj["frame_id"]), obj["confidence"]
+            frame_id, confidence = obj["frame_id"], obj["confidence"]
         except KeyError as exc:
             raise FramesFileError(f"line {line_no}: missing field {exc}") from exc
+        frame_id = _json_str(frame_id, "frame_id", line_no)
         confidence = _json_float(confidence, "confidence", line_no)
         try:
             det = Detection(frame_id=frame_id, class_id=class_id, bbox=bbox, confidence=confidence)

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .scenegraph import SceneGraph, normalize_edge_column
+from .scenegraph import SceneGraph
 
 LOG_EPS = 1e-12
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
@@ -166,25 +166,18 @@ class PackedGraphs:
         self.graph_nodes = np.array(sizes, dtype=np.int64)
         self.node_start = np.array([0, *accumulate(sizes)], dtype=np.int64)
         self.edge_start = np.array([0, *accumulate(g.n_edges for g in graphs)], dtype=np.int64)
-        n, e = int(self.node_start[-1]), int(self.edge_start[-1])
+        n = int(self.node_start[-1])
         self.node_features = np.concatenate([g.node_features for g in graphs])
         self.current_labels = np.concatenate([g.current_labels for g in graphs])
         self.validity = np.concatenate([g.validity for g in graphs])
         self.original_labels = np.concatenate([g.original_labels for g in graphs])
-        self.degree = np.empty(n, dtype=np.int32)
-        self.neighbour = np.empty(e, dtype=np.int32)
-        self.edge_mean = np.empty((n, 6))
-        for g, n0, e0 in zip(graphs, self.node_start.tolist(), self.edge_start.tolist()):
-            src, nodes = g.edges[:, 0], slice(n0, n0 + g.n_nodes)
-            deg = np.bincount(src, minlength=g.n_nodes)
-            share = (1.0 / np.maximum(deg, 1.0))[src]
-            # one column at a time, so no E x 6 temporary; bincount adds each
-            # node's terms in edge order, as a loop over out-edges does
-            for c in range(6):
-                terms = normalize_edge_column(g.edge_features[:, c], c) * share
-                self.edge_mean[nodes, c] = np.bincount(src, terms, minlength=g.n_nodes)
-            self.degree[nodes] = deg
-            self.neighbour[e0: e0 + g.n_edges] = g.edges[np.argsort(src, kind="stable"), 1]
+        self.edge_mean = np.concatenate([g.edge_mean for g in graphs])
+        # graphs own disjoint, increasing ranges of the global source index,
+        # so one stable sort keeps each graph's edges in its range, by source
+        edges = np.concatenate([g.edges for g in graphs])
+        src = edges[:, 0] + np.repeat(self.node_start[:-1], np.diff(self.edge_start))
+        self.degree = np.bincount(src, minlength=n).astype(np.int32)
+        self.neighbour = edges[np.argsort(src, kind="stable"), 1]
 
     def __len__(self) -> int:
         return self.graph_nodes.shape[0]

@@ -1,10 +1,11 @@
 """Per-frame spatial graphs read from one N x 4 box array: node features,
-k-NN edges by one stable sort, and per-edge geometry."""
+k-NN edges by one stable sort, and each node's mean out-edge geometry."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -104,11 +105,14 @@ class Frame:
 
 @dataclass
 class SceneGraph:
-    """Graph view of one frame; node order follows the frame's object order."""
+    """Graph view of one frame; node order follows the frame's object order.
+    ``edge_features`` is computed from ``boxes`` and ``edges`` on first
+    access, so do not edit ``edges`` after the build."""
 
     node_features: np.ndarray  # N x 4: x_center, y_center, w, h
     edges: np.ndarray  # E x 2 int32 (src, dst), directed
-    edge_features: np.ndarray  # E x 6, raw pairwise geometry per directed edge
+    edge_mean: np.ndarray  # N x 6 mean normalised feature of each node's out-edges
+    boxes: np.ndarray  # N x 4 the frame's read-only corners
     validity: np.ndarray  # N bools, True = unmodified
     original_labels: np.ndarray  # N ints, pre-corruption ground truth
     current_labels: np.ndarray  # N ints, possibly corrupted / detector-predicted
@@ -121,6 +125,11 @@ class SceneGraph:
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
+
+    @cached_property
+    def edge_features(self) -> np.ndarray:
+        """E x 6 raw pairwise geometry per directed edge."""
+        return edge_geometry(self.boxes, self.edges)
 
 
 def is_integer(value: object) -> bool:
@@ -161,35 +170,48 @@ def knn_edges(centers: np.ndarray, k: KOrAll) -> np.ndarray:
     return np.argwhere(linked | linked.T).astype(np.int32)
 
 
-def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
-    """Node features [x_center, y_center, w, h], k-NN edges and per-edge
-    geometry, all read from the frame's N x 4 box array."""
-    if len(frame.labels) == 0:
-        raise ValueError(f"frame {frame.frame_id!r} has no objects")
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
-    labels = frame.labels.copy()
-    out_of_range = labels[(labels < 0) | (labels >= n_classes)]
-    if out_of_range.size:
-        raise ValueError(f"label_id {out_of_range[0]} out of range for {n_classes} classes")
-    boxes = frame.boxes
-    centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
-    node_features = np.column_stack([centers, boxes[:, 2:] - boxes[:, :2]])
-    edges = knn_edges(centers, k)
+def edge_geometry(boxes: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """E x 6 ``pairwise_geometry`` of each edge (i, j) over the N x 4
+    ``boxes``, streamed, so that no per-edge Python tuples are held at once."""
     bboxes = [BoundingBox(*row) for row in boxes.tolist()]
-    # streamed, so that no per-edge Python tuples are held at once
     pairs = zip(edges[:, 0].tolist(), edges[:, 1].tolist())
-    edge_features = np.fromiter(
+    return np.fromiter(
         chain.from_iterable(pairwise_geometry(bboxes[i], bboxes[j]).as_tuple() for i, j in pairs),
         dtype=np.float64,
         count=6 * len(edges),
     ).reshape(-1, 6)
+
+
+def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
+    """Node features [x_center, y_center, w, h], k-NN edges and each node's
+    mean out-edge geometry, read from the frame's arrays, which it shares."""
+    labels = frame.labels
+    if len(labels) == 0:
+        raise ValueError(f"frame {frame.frame_id!r} has no objects")
+    if n_classes < 2:
+        raise ValueError("n_classes must be >= 2")
+    out_of_range = labels[(labels < 0) | (labels >= n_classes)]
+    if out_of_range.size:
+        raise ValueError(f"label_id {out_of_range[0]} out of range for {n_classes} classes")
+    boxes, n = frame.boxes, len(labels)
+    centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
+    node_features = np.column_stack([centers, boxes[:, 2:] - boxes[:, :2]])
+    edges = knn_edges(centers, k)
+    edge_features, src = edge_geometry(boxes, edges), edges[:, 0]
+    share = (1.0 / np.maximum(np.bincount(src, minlength=n), 1.0))[src]
+    edge_mean = np.empty((n, 6))
+    # one column at a time, so no E x 6 temporary; bincount adds each node's
+    # terms in edge order, as a loop over out-edges does
+    for c in range(6):
+        terms = normalize_edge_column(edge_features[:, c], c) * share
+        edge_mean[:, c] = np.bincount(src, terms, minlength=n)
     return SceneGraph(
         node_features=node_features,
         edges=edges,
-        edge_features=edge_features,
-        validity=np.ones(len(labels), dtype=bool),
-        original_labels=labels.copy(),
+        edge_mean=edge_mean,
+        boxes=boxes,
+        validity=np.ones(n, dtype=bool),
+        original_labels=labels,
         current_labels=labels,
         n_classes=n_classes,
     )

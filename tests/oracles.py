@@ -79,3 +79,19 @@ def normalize_edge_features(edge_features: np.ndarray) -> np.ndarray:
     out[:, 3] /= 180.0
     np.log1p(out[:, 5], out=out[:, 5])
     return out
+
+
+def edge_means(graph) -> np.ndarray:
+    """Each node's mean normalised out-edge feature, added one edge at a time
+    in edge order as value x (1 / out-degree); zero for a node without
+    out-edges. The reference for ``SceneGraph.edge_mean``."""
+    edges = graph.edges.tolist()
+    degree = [0] * graph.n_nodes
+    for i, _ in edges:
+        degree[i] += 1
+    sums = [[0.0] * 6 for _ in range(graph.n_nodes)]
+    for (i, _), row in zip(edges, normalize_edge_features(graph.edge_features).tolist()):
+        share = 1.0 / degree[i]
+        for c in range(6):
+            sums[i][c] += row[c] * share
+    return np.array(sums).reshape(graph.n_nodes, 6)

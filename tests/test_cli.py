@@ -215,6 +215,26 @@ class TestCorrectCommand:
         assert code == EXIT_INPUT
         assert "line 2" in err and "class_id 45" in err
 
+    @pytest.mark.parametrize("frame_id, shown", [("null", "None"), ("7", "7")])
+    def test_frame_id_not_a_string_exits_1(self, capsys, tmp_path, frame_id, shown):
+        config = ModelConfig(n_classes=3, hidden_dim=8)
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(init_model(config), config, ckpt)
+        det_path = tmp_path / "dets.jsonl"
+        det_path.write_text(
+            '{"frame_id": "f", "class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2], "confidence": 0.9}\n'
+            f'{{"frame_id": {frame_id}, "class_id": 1, "bbox": [0.3, 0.3, 0.4, 0.4], "confidence": 0.9}}\n'
+        )
+        out_path = tmp_path / "fixed.jsonl"
+        code, out, err = _run(
+            capsys,
+            ["correct", "--detections", str(det_path), "--checkpoint", ckpt, "--out", str(out_path)],
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert f"line 2: bad frame_id: expected a string, got {shown}" in err
+        assert "internal error" not in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--k", "0", "k must be >= 1"), ("--tau", "1.5", "tau must be in")],
@@ -401,6 +421,27 @@ class TestImports:
                     continue
                 for name in names:
                     assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno}: {name}"
+
+    def test_no_unused_imports(self):
+        # every name a module imports is read in it; __init__.py's __all__
+        # re-exports count as reads
+        package = Path(scenegnn.__file__).resolve().parent
+        unused = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = node.lineno
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            if path.name == "__init__.py":
+                read |= set(scenegnn.__all__)
+            unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+        assert unused == []
 
     def test_project_depends_on_numpy_only(self):
         tomllib = pytest.importorskip("tomllib")

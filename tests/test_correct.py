@@ -15,7 +15,7 @@ from scenegnn.correct import correct_detections, simulate_detector
 from scenegnn.geometry import BoundingBox
 from scenegnn.metrics import Detection
 from scenegnn.model import ModelConfig, ModelParams, init_model
-from scenegnn.nn import LinearHead, SageLayer, param_items
+from scenegnn.nn import param_items
 from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject
 from scenegnn.synth import gen_template, render_views
 from scenegnn.train import build_dataset, train
@@ -258,6 +258,11 @@ class TestMemoryBudget:
     # Traced bytes that rendered views hold per object: boxes and labels
     # (40 B) plus each frame's arrays, id and object.
     BYTES_PER_OBJECT = 160
+    # Traced bytes that build_dataset graphs hold per graph at desk shapes
+    # (about 9 nodes and 52 edges): node features, edges, edge means and the
+    # arrays of each corrupted twin, about 2.2 KB. A graph that also held its
+    # raw E x 6 edge geometry would hold about 4.4 KB.
+    BYTES_PER_GRAPH = 3000
 
     def test_dense_frame_peak_per_edge(self):
         config = ModelConfig(n_classes=39, k=ALL_NEIGHBORS)
@@ -286,6 +291,19 @@ class TestMemoryBudget:
         n_objects = sum(len(f.objects) for f in frames)
         assert n_objects > 4000
         assert held / n_objects < self.BYTES_PER_OBJECT
+
+    def test_training_graphs_bytes_per_graph(self):
+        frames = render_views(gen_template(39, 0), 300, dropout_prob=0.05, seed=2)
+        config = ModelConfig(n_classes=39, k=5, rho=3)
+        build_dataset(frames[:3], config, 0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            graphs = build_dataset(frames, config, 1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(graphs) == 600 and sum(g.n_edges for g in graphs) > 40 * len(graphs)
+        assert held / len(graphs) < self.BYTES_PER_GRAPH
 
 
 class TestSimulateDetector:

@@ -219,6 +219,13 @@ class TestFramesValidation:
         with pytest.raises(FramesFileError, match=message):
             parse_frames(path)
 
+    @pytest.mark.parametrize("frame_id", ["null", "7", "7.5", "true", '["a"]', '{"id": "a"}'])
+    def test_frame_id_must_be_a_string(self, tmp_path, frame_id):
+        row = f'{{"frame_id": {frame_id}, "objects": [{{"class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2]}}]}}'
+        path = self._write(tmp_path, ['{"n_classes": 3, "format_version": 1}', row])
+        with pytest.raises(FramesFileError, match="^line 2: bad frame_id: expected a string, got "):
+            parse_frames(path)
+
     def test_booleans_and_integral_numbers_read(self, tmp_path):
         row = (
             '{"frame_id": "a", "objects": [{"class_id": 2.0, "bbox": [0.1, 0.1, 0.2, 0.2],'
@@ -346,6 +353,17 @@ class TestDetectionsValidation:
         good = '{"frame_id": "f", "class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2], "confidence": 0.9}'
         path.write_text(good + "\n" + line + "\n")
         with pytest.raises(FramesFileError, match=message):
+            parse_detections(str(path))
+
+    @pytest.mark.parametrize(
+        "frame_id, shown", [("null", "None"), ("7", "7"), ("false", "False"), ('["f"]', r"\['f'\]")]
+    )
+    def test_frame_id_must_be_a_string(self, tmp_path, frame_id, shown):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            f'{{"frame_id": {frame_id}, "class_id": 0, "bbox": [0.1, 0.1, 0.2, 0.2], "confidence": 0.9}}\n'
+        )
+        with pytest.raises(FramesFileError, match=f"^line 1: bad frame_id: expected a string, got {shown}$"):
             parse_detections(str(path))
 
     def test_integers_read_as_floats(self, tmp_path):

@@ -404,9 +404,10 @@ class TestPackedBatch:
         rng = np.random.default_rng(13)
         graphs = [random_graph(int(n), rng) for n in rng.integers(2, 9, 30)]
         graphs[4] = random_graph(1, rng)
-        perm = rng.permutation(graphs[7].n_edges)  # edges not sorted by source
-        graphs[7].edges = graphs[7].edges[perm]
-        graphs[7].edge_features = graphs[7].edge_features[perm]
+        # edges not sorted by source; one tuple, so that each feature row
+        # follows its edge rather than being recomputed from permuted edges
+        perm = rng.permutation(graphs[7].n_edges)
+        graphs[7].edges, graphs[7].edge_features = graphs[7].edges[perm], graphs[7].edge_features[perm]
         graphs[9] = complete_graph
         store = nn.PackedGraphs(graphs)
         subsets = [rng.choice(len(graphs), size=int(k), replace=False) for k in (1, 5, 16, 30)]

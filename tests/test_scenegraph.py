@@ -15,7 +15,7 @@ from scenegnn.scenegraph import (
     normalize_edge_column,
 )
 
-from oracles import corners_near_bounds, edge_rows, normalize_edge_features
+from oracles import corners_near_bounds, edge_means, edge_rows, normalize_edge_features
 
 
 def obj(label, x0, y0, x1, y1):
@@ -280,6 +280,36 @@ class TestBuildGraph:
         ]
         assert g.edge_features.dtype == np.float64 and g.edge_features.shape == (g.n_edges, 6)
         assert g.edge_features.tobytes() == np.array(expected_edges).reshape(-1, 6).tobytes()
+
+    @given(adversarial_frames(), st.sampled_from([5, ALL_NEIGHBORS]))
+    @settings(max_examples=150)
+    def test_edge_mean_matches_scalar_oracle(self, case, k):
+        frame, n_classes = case
+        g = build_graph(frame, k, n_classes)
+        assert g.edge_mean.dtype == np.float64 and g.edge_mean.shape == (g.n_nodes, 6)
+        assert g.edge_mean.tobytes() == edge_means(g).tobytes()
+
+    @pytest.mark.parametrize("k", [5, ALL_NEIGHBORS])
+    def test_edge_mean_of_desk_sized_frames(self, k):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 9, 40):
+            objs = [point_obj(int(rng.integers(39)), *rng.uniform(0.05, 0.95, 2)) for _ in range(n)]
+            g = build_graph(Frame("f", tuple(objs)), k, 39)
+            assert g.edge_mean.tobytes() == edge_means(g).tobytes()
+            if n == 1:  # no out-edges: zero rows
+                assert g.edge_features.shape == (0, 6) and g.edge_mean.tolist() == [[0.0] * 6]
+
+    def test_edge_features_computed_once(self):
+        g = build_graph(Frame("f", (point_obj(1, 0.2, 0.2), point_obj(3, 0.7, 0.7))), 5, 10)
+        first = g.edge_features
+        assert g.edge_features is first
+
+    def test_graph_shares_the_frames_read_only_arrays(self):
+        frame = Frame("f", (point_obj(1, 0.2, 0.2), point_obj(3, 0.7, 0.7)))
+        g = build_graph(frame, 5, 10)
+        assert g.boxes is frame.boxes
+        assert g.current_labels is frame.labels and g.original_labels is frame.labels
+        assert not g.current_labels.flags.writeable
 
     def test_two_object_frame(self):
         frame = Frame("f", (point_obj(1, 0.2, 0.2), point_obj(3, 0.7, 0.7)))
