@@ -21,6 +21,23 @@ from scenegnn.synth import gen_template, render_views
 from scenegnn.train import build_dataset, split_dataset, train
 
 
+def correction_counts(truth: list[int], before: list[int], after: list[int]) -> dict[str, int]:
+    """How correction changed each detection's label against its ground truth:
+    ``fixed`` wrong to right, ``broke`` right to wrong, ``wrong_to_wrong``
+    wrong to another wrong label, ``missed`` wrong and left as it was."""
+    counts = dict.fromkeys(("fixed", "broke", "wrong_to_wrong", "missed"), 0)
+    for gt, label_in, label_out in zip(truth, before, after, strict=True):
+        if label_in == gt:
+            counts["broke"] += label_out != gt
+        elif label_out == gt:
+            counts["fixed"] += 1
+        elif label_out == label_in:
+            counts["missed"] += 1
+        else:
+            counts["wrong_to_wrong"] += 1
+    return counts
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--workdir", required=True)
@@ -73,6 +90,13 @@ def main() -> None:
         f"[{time.perf_counter() - t0:6.1f}s] simulated detector mAP@50 "
         f"{before:.4f} -> {after:.4f} (+{after - before:.4f})"
     )
+    # simulate_detector keeps every test frame's objects, in order
+    counts = correction_counts(
+        [label for frame in test_f for label in frame.labels.tolist()],
+        [d.class_id for d in dets],
+        [d.class_id for d in fixed],
+    )
+    print("corrections " + ", ".join(f"{name} {n}" for name, n in counts.items()))
 
     atomic_write_text(
         os.path.join(args.workdir, "summary.json"),
@@ -82,6 +106,7 @@ def main() -> None:
                 "weighted_f1": report.label.weighted_f1,
                 "map50_before": before,
                 "map50_after": after,
+                "corrections": counts,
                 "checkpoint": ckpt_path,
             },
             indent=2,

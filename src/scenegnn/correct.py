@@ -10,7 +10,7 @@ import numpy as np
 from .corrupt import CorruptionConfig, corrupt_frame, derive_seed
 from .geometry import BoundingBox
 from .metrics import Detection
-from .model import ModelConfig, ModelParams, chunked, predict
+from .model import ModelConfig, ModelParams, predict
 from .scenegraph import Frame, build_graph, check_k
 
 
@@ -44,69 +44,59 @@ def correct_detections(
     """Replace the class of invalid-flagged detections with the label head's
     argmax; boxes and confidences pass through untouched.
 
-    Single-detection frames pass through unchanged (degenerate graph).
-    Consecutive frames are built into graphs and predicted one chunk at a
-    time, so graphs and network activations are held for one chunk only.
+    Single-detection frames pass through unchanged (degenerate graph). The
+    other frames' graphs are built as predict draws them, so graphs and
+    network activations are held for one chunk at a time.
     """
     k = config.k if k is None else check_k(k)
     tau = resolve_tau(config, tau)
 
-    by_frame: dict[str, list[tuple[int, Detection]]] = defaultdict(list)
+    by_frame: dict[str, list[int]] = defaultdict(list)
     for idx, det in enumerate(detections):
-        by_frame[det.frame_id].append((idx, det))
-
-    corrected: list[Detection | None] = [None] * len(detections)
-    records: list[CorrectionRecord] = []
-    for chunk in chunked(list(by_frame.items()), lambda frame: len(frame[1])):
-        graphs = [
+        by_frame[det.frame_id].append(idx)
+    multi = [(frame_id, idxs) for frame_id, idxs in by_frame.items() if len(idxs) > 1]
+    predicted = iter(())
+    if multi:
+        graphs = (
             build_graph(
                 Frame.from_arrays(
-                    frame_id, [d.bbox.corners for _, d in items], [d.class_id for _, d in items]
+                    frame_id,
+                    [detections[i].bbox.corners for i in idxs],
+                    [detections[i].class_id for i in idxs],
                 ),
                 k,
                 config.n_classes,
             )
-            for frame_id, items in chunk
-            if len(items) > 1
-        ]
-        scores: list[float] = []
-        labels: list[int] = []
-        if graphs:
-            pred = predict(graphs, params, config)
-            scores, labels = pred.validity_prob.tolist(), pred.corrected_label.tolist()
-        node = 0
-        for frame_id, items in chunk:
-            if len(items) == 1:
-                idx, det = items[0]
-                corrected[idx] = det
-                records.append(
-                    CorrectionRecord(
-                        frame_id=frame_id,
-                        node_index=0,
-                        original_class=det.class_id,
-                        corrected_class=det.class_id,
-                        validity_score=1.0,
-                        applied=False,
-                        note="single-detection frame, passthrough",
-                    )
+            for frame_id, idxs in multi
+        )
+        pred = predict(graphs, params, config)
+        predicted = zip(pred.validity_prob.tolist(), pred.corrected_label.tolist())
+
+    corrected = list(detections)
+    records: list[CorrectionRecord] = []
+    for frame_id, idxs in by_frame.items():
+        passthrough = len(idxs) == 1
+        for node_index, idx in enumerate(idxs):
+            det = detections[idx]
+            out_class, score = det.class_id, 1.0
+            if not passthrough:
+                score, label = next(predicted)
+                out_class = label if score < tau else det.class_id
+            applied = out_class != det.class_id
+            if applied:
+                corrected[idx] = replace(det, class_id=out_class)
+            records.append(
+                CorrectionRecord(
+                    frame_id=frame_id,
+                    node_index=node_index,
+                    original_class=det.class_id,
+                    corrected_class=out_class,
+                    validity_score=score,
+                    applied=applied,
+                    note="single-detection frame, passthrough" if passthrough else "",
                 )
-                continue
-            for node_index, (idx, det) in enumerate(items):
-                out_class = labels[node] if scores[node] < tau else det.class_id
-                applied = out_class != det.class_id
-                corrected[idx] = replace(det, class_id=out_class) if applied else det
-                records.append(
-                    CorrectionRecord(
-                        frame_id=frame_id,
-                        node_index=node_index,
-                        original_class=det.class_id,
-                        corrected_class=out_class,
-                        validity_score=scores[node],
-                        applied=applied,
-                    )
-                )
-                node += 1
-    return list(corrected), records
+            )
+    return corrected, records
 
 
 def simulate_detector(

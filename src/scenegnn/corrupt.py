@@ -5,10 +5,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .scenegraph import Frame
+from .scenegraph import Frame, is_integer
 
 
 @dataclass(frozen=True)
@@ -18,10 +19,15 @@ class CorruptionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
-        if not 0.0 <= self.jitter_sigma < math.inf:
-            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
+        for name in ("rho", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        sigma = self.jitter_sigma
+        if isinstance(sigma, bool) or not isinstance(sigma, Real) or not 0.0 <= sigma < math.inf:
+            raise ValueError(f"jitter_sigma must be finite and >= 0, got {sigma!r}")
 
 
 def derive_seed(master_seed: int, name: str) -> int:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .geometry import BoundingBox, iou_corners
 from .model import ModelConfig, predict
-from .nn import ModelParams, PackedGraphs
+from .nn import ModelParams
 from .scenegraph import Frame, SceneGraph
 
 
@@ -189,17 +189,17 @@ class EvalReport:
 
 
 def evaluate_graphs(
-    graphs: list[SceneGraph] | PackedGraphs, params: ModelParams, config: ModelConfig
+    graphs: list[SceneGraph], params: ModelParams, config: ModelConfig
 ) -> EvalReport:
     """Node-level report over a set of graphs with validity ground truth.
 
     Label metrics follow the predicted-invalid mask: corrected labels are
     scored against original labels for nodes the model flags as invalid.
     """
-    store = graphs if isinstance(graphs, PackedGraphs) else PackedGraphs(graphs)
-    p = predict(store, params, config)
-    gt_valid = store.validity
-    lm = label_metrics(p.corrected_label, store.original_labels, p.is_invalid, config.n_classes)
+    p = predict(graphs, params, config)
+    gt_valid = np.concatenate([g.validity for g in graphs])
+    original = np.concatenate([g.original_labels for g in graphs])
+    lm = label_metrics(p.corrected_label, original, p.is_invalid, config.n_classes)
     return EvalReport(
         validity_accuracy=validity_accuracy(~p.is_invalid, gt_valid),
         label=lm,

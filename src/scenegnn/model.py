@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -87,10 +87,10 @@ def init_model(config: ModelConfig, rng: np.random.Generator | None = None) -> M
     return nn.init_params(config.input_dim, config.hidden_dim, config.n_classes, rng)
 
 
-def _check_compatible(store: nn.PackedGraphs, config: ModelConfig) -> None:
-    if store.n_classes != config.n_classes:
+def _check_compatible(n_classes: int, config: ModelConfig) -> None:
+    if n_classes != config.n_classes:
         raise ConfigMismatchError(
-            f"graphs built with n_classes={store.n_classes}, "
+            f"graphs built with n_classes={n_classes}, "
             f"model expects {config.n_classes}"
         )
 
@@ -103,43 +103,43 @@ class Prediction:
     validity_prob: np.ndarray
 
 
-def chunked(items: list, size: Callable[[object], int]) -> list[list]:
-    """Consecutive runs of ``items`` whose sizes add up to at most
-    PREDICT_CHUNK_NODES; a larger item is a run of its own."""
-    chunks: list[list] = []
-    total = PREDICT_CHUNK_NODES
-    for item in items:
-        n = size(item)
-        if total + n > PREDICT_CHUNK_NODES:
-            chunks.append([])
-            total = 0
-        chunks[-1].append(item)
+def chunked(graphs: Iterable[SceneGraph]) -> Iterator[list[SceneGraph]]:
+    """Consecutive runs of ``graphs``, drawn one at a time, whose nodes add
+    up to at most PREDICT_CHUNK_NODES; a larger graph is a run of its own."""
+    chunk, total = [], 0
+    for g in graphs:
+        n = g.n_nodes
+        if chunk and total + n > PREDICT_CHUNK_NODES:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(g)
         total += n
-    return chunks
+    if chunk:
+        yield chunk
 
 
-def predict(
-    graphs: list[SceneGraph] | nn.PackedGraphs, params: ModelParams, config: ModelConfig
-) -> Prediction:
+def predict(graphs: Iterable[SceneGraph], params: ModelParams, config: ModelConfig) -> Prediction:
     """Flags, corrected labels and confidences for every node of ``graphs``,
     concatenated in graph order.
 
-    A list is packed once. The network runs on batches of whole graphs
-    capped at PREDICT_CHUNK_NODES nodes, and each batch is reduced to
-    per-node values before the next, so the N x C class probabilities of a
-    large input are never held at once.
+    The graphs are drawn lazily into batches of whole graphs capped at
+    PREDICT_CHUNK_NODES nodes, and each batch is packed, run and reduced to
+    per-node values before the next is drawn, so neither a generator's graphs
+    nor the N x C class probabilities of a large input are held at once.
     """
-    store = graphs if isinstance(graphs, nn.PackedGraphs) else nn.PackedGraphs(graphs)
-    _check_compatible(store, config)
     parts = []
-    for chunk in chunked(range(len(store)), store.graph_nodes.__getitem__):
-        cache = nn.full_forward(params, nn.make_batch(store, chunk))
+    for chunk in chunked(graphs):
+        for g in chunk:
+            _check_compatible(g.n_classes, config)
+        cache = nn.full_forward(params, nn.make_batch(chunk))
         class_probs = nn.softmax(cache.class_logits)
         parts.append((
             cache.validity_prob,
             np.argmax(class_probs, axis=1),  # ties: lowest index
             np.max(class_probs, axis=1),
         ))
+    if not parts:
+        raise ValueError("need at least one graph to predict")
     v_prob, labels, confidence = (np.concatenate(p) for p in zip(*parts))
     return Prediction(
         is_invalid=v_prob < config.validity_threshold,

@@ -3,8 +3,8 @@ hand-written reverse-mode gradients and Adam. float64 throughout.
 
 No ML framework. Mean aggregation is one batched matmul over a dense block per
 graph, its row-normalised adjacency padded to the batch's largest graph. Every
-batch is gathered from a PackedGraphs store: training packs each data set once,
-predict packs its list once, and make_batch packs a list it is given.
+batch is gathered from a PackedGraphs store: training packs its training set
+once, and make_batch packs a list it is given, such as one chunk of predict's.
 
 A training step allocates little beyond its activations: the forward adds the
 bias and applies the ReLU in place, backward writes every gradient into views
@@ -146,7 +146,8 @@ def mean_aggregate(blocks: np.ndarray, slot: np.ndarray, h: np.ndarray) -> np.nd
 
 class PackedGraphs:
     """Compact store of a list of graphs, the one form in which the network
-    reads graphs: make_batch gathers a batch of any of them.
+    reads graphs: make_batch gathers a batch of any of them. Training packs
+    its training set into one, and make_batch packs a list it is given.
 
     Per node it holds the node features, current label, targets, degree and
     the mean normalised feature of the node's out-edges; per edge, the

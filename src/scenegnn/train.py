@@ -75,15 +75,6 @@ class TrainHistory:
         return [vars(e) for e in self.epochs]
 
 
-def _validation_metrics(
-    graphs: nn.PackedGraphs | None, params: ModelParams, config: ModelConfig
-) -> tuple[float | None, float | None]:
-    if graphs is None:
-        return None, None
-    report = evaluate_graphs(graphs, params, config)
-    return report.validity_accuracy, report.label.weighted_f1
-
-
 def train(
     train_graphs: list[SceneGraph],
     config: ModelConfig,
@@ -93,17 +84,17 @@ def train(
 
     Mini-batches are whole graphs; per-graph node-mean losses are averaged
     within each batch, the loss is LAM_VALID * BCE + LAM_LABEL * CE, and the
-    label head's CE is weighted on corrupted nodes only. Both sets are
-    packed once, and every batch is gathered from the packed set. Without a
-    validation set the best checkpoint is the final one.
+    label head's CE is weighted on corrupted nodes only. The training set
+    is packed once, and every batch is gathered from it; each epoch ends
+    with evaluate_graphs on the validation set. Without a validation set
+    the best checkpoint is the final one.
     """
     if not train_graphs:
         raise ValueError("empty training set")
     train_set = nn.PackedGraphs(train_graphs)
-    val_set = nn.PackedGraphs(val_graphs) if val_graphs else None
-    for store in (train_set, val_set):
-        if store is not None:
-            _check_compatible(store, config)
+    _check_compatible(train_set.n_classes, config)
+    for g in val_graphs or ():
+        _check_compatible(g.n_classes, config)
     rng = np.random.default_rng(derive_seed(config.seed, "train"))
     params = init_model(config, np.random.default_rng(derive_seed(config.seed, "init")))
     state = nn.AdamState.for_params(params, lr=config.lr)
@@ -130,7 +121,10 @@ def train(
             epoch_bce.append(bce)
             epoch_ce.append(ce)
 
-        val_acc, val_f1 = _validation_metrics(val_set, params, config)
+        val_acc = val_f1 = None
+        if val_graphs:
+            report = evaluate_graphs(val_graphs, params, config)
+            val_acc, val_f1 = report.validity_accuracy, report.label.weighted_f1
         history.epochs.append(
             EpochRecord(
                 epoch=epoch,
@@ -141,7 +135,7 @@ def train(
                 val_label_f1=val_f1,
             )
         )
-        if val_set is None or val_acc >= best_acc:
+        if not val_graphs or val_acc >= best_acc:
             best_acc = val_acc
             best_params = deepcopy(params)
     return params, best_params, history

@@ -512,6 +512,11 @@ class TestFullPipeline:
         )
         assert code == EXIT_OK, err
         assert json.loads(out)["frames"] == 80
+        template = json.loads(Path(data + ".template.json").read_text())
+        assert json.loads(out)["template"] == data + ".template.json"
+        assert template["n_classes"] == 8 and isinstance(template["seed"], int)
+        for key in ("anchors", "sizes"):
+            assert np.asarray(template[key], dtype=float).shape == (8, 2)
 
         corrupted = str(tmp_path / "corrupted.jsonl")
         code, out, err = _run(
@@ -533,13 +538,21 @@ class TestFullPipeline:
         assert summary["command"] == "train"
 
         report = str(tmp_path / "eval.json")
+        confusion = str(tmp_path / "confusion.csv")
         code, out, err = _run(
             capsys,
-            ["eval", "--checkpoint", ckpt, "--data", corrupted, "--out", report],
+            [
+                "eval", "--checkpoint", ckpt, "--data", corrupted,
+                "--out", report, "--confusion-csv", confusion,
+            ],
         )
         assert code == EXIT_OK, err
         payload = json.loads(Path(report).read_text())
         assert 0.0 <= payload["validity_accuracy"] <= 1.0
+        lines = Path(confusion).read_text().splitlines()
+        rows = [[int(v) for v in line.split(",")] for line in lines]
+        assert rows == payload["confusion_matrix"]
+        assert len(rows) == 8 and sum(map(sum, rows)) == payload["n_evaluated_invalid"]
 
         # detections = the corrupted frames with constant confidence
         ds = parse_frames(corrupted)

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scenegnn.correct as correct_module
+from scenegnn import nn
 from scenegnn.correct import correct_detections, simulate_detector
 from scenegnn.geometry import BoundingBox
 from scenegnn.metrics import Detection
-from scenegnn.model import ModelConfig, ModelParams, init_model
+from scenegnn.model import ModelConfig, ModelParams, init_model, predict
 from scenegnn.nn import param_items
 from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject
 from scenegnn.synth import gen_template, render_views
@@ -102,6 +104,35 @@ class TestCorrectDetections:
             assert abs(r.validity_score - ref.validity_score) <= 1e-12
         slot = {fid: iter(alone[fid][0]) for fid in frame_order}
         assert out == [next(slot[d.frame_id]) for d in dets]
+
+    def test_one_predict_call_draws_graphs_as_it_runs(self, monkeypatch):
+        # 40 frames of 9 detections span several chunks of predict; the
+        # graphs are built as predict draws them, one call for all frames
+        config = ModelConfig(n_classes=6, hidden_dim=8)
+        params = init_model(config, np.random.default_rng(1))
+        dets = _detections(seed=4, n_frames=40, per_frame=9)
+        dets.insert(9, Detection("solo", 2, BoundingBox(0.1, 0.1, 0.2, 0.2), 0.8))
+        built, calls, ahead, predicts = [], [], [], []
+        build_graph, full_forward = correct_module.build_graph, nn.full_forward
+
+        def build(*args):
+            built.append(build_graph(*args))
+            return built[-1]
+
+        def forward(params, batch):
+            ahead.append(len(built) - sum(calls) - batch.adj.shape[0])
+            calls.append(batch.adj.shape[0])
+            return full_forward(params, batch)
+
+        monkeypatch.setattr(correct_module, "build_graph", build)
+        monkeypatch.setattr(nn, "full_forward", forward)
+        monkeypatch.setattr(
+            correct_module, "predict", lambda *a: predicts.append(a) or predict(*a)
+        )
+        out, records = correct_detections(dets, params, config)
+        assert len(predicts) == 1 and len(built) == sum(calls) == 40
+        assert len(calls) > 1 and max(ahead) <= 1
+        assert len(out) == len(records) == len(dets)
 
     def test_single_detection_frame_passthrough(self):
         config = ModelConfig(n_classes=6, hidden_dim=8)

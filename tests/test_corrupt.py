@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scenegnn.correct import simulate_detector
 from scenegnn.corrupt import CorruptionConfig, corrupt_frame, derive_seed, frame_rng
 from scenegnn.geometry import BoundingBox
 from scenegnn.scenegraph import Frame, SceneObject
@@ -125,6 +126,39 @@ def test_invalid_config_rejected():
     for sigma in (-0.5, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="^jitter_sigma must be finite and >= 0"):
             CorruptionConfig(jitter_sigma=sigma)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("rho", 1.5, "rho must be an integer"),
+        ("rho", True, "rho must be an integer"),
+        ("rho", "2", "rho must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", "x", "seed must be an integer"),
+        ("seed", False, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+        ("jitter_sigma", True, "jitter_sigma must be finite"),
+        ("jitter_sigma", "0.1", "jitter_sigma must be finite"),
+        ("jitter_sigma", None, "jitter_sigma must be finite"),
+    ],
+)
+def test_values_of_another_kind_rejected(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        CorruptionConfig(**{field: value})
+
+
+def test_numpy_scalars_accepted():
+    cfg = CorruptionConfig(rho=np.int64(2), jitter_sigma=np.float32(0.0), seed=np.uint64(5))
+    out, validity, _ = corrupt_frame(make_frame(4), cfg, 10)
+    assert (~validity).sum() in (1, 2)
+
+
+def test_simulate_detector_checks_its_arguments():
+    frames = [make_frame(3)]
+    for kwargs in ({"rho_det": 1.5}, {"sigma_det": True}, {"seed": "x"}):
+        with pytest.raises(ValueError):
+            simulate_detector(frames, 10, **kwargs)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.3, 2.0])

@@ -116,11 +116,16 @@ class TestModelForward:
         params = init_model(cfg)
         with pytest.raises(ConfigMismatchError):
             predict([fixed_graph(n_classes=6)], params, cfg)
+        # in a later chunk of a generator too
+        first = fixed_graph(n=PREDICT_CHUNK_NODES, n_classes=10, k=3)
+        with pytest.raises(ConfigMismatchError, match="n_classes=6"):
+            predict(iter([first, fixed_graph(n_classes=6)]), params, cfg)
 
     def test_empty_graph_list_rejected(self):
         cfg = ModelConfig(n_classes=6, hidden_dim=8)
-        with pytest.raises(ValueError, match="at least one graph"):
-            predict([], init_model(cfg), cfg)
+        for empty in ([], iter([])):
+            with pytest.raises(ValueError, match="at least one graph"):
+                predict(empty, init_model(cfg), cfg)
 
 
 class TestPredict:
@@ -174,7 +179,7 @@ class TestBatchedPredict:
         cfg = ModelConfig(n_classes=6, hidden_dim=8, seed=4)
         params = init_model(cfg)
         graphs = [fixed_graph(n=n, k=3, seed=i) for i, n in enumerate(sizes)]
-        chunks = chunked(graphs, lambda g: g.n_nodes)
+        chunks = list(chunked(graphs))
         assert [len(c) for c in chunks] == [3, 1, 1, 3]
         assert any(len(c) == 1 and c[0].n_nodes > PREDICT_CHUNK_NODES for c in chunks)
 
@@ -199,12 +204,51 @@ class TestBatchedPredict:
             atol=1e-12,
         )
 
+    def test_generator_is_drawn_one_chunk_at_a_time(self, monkeypatch):
+        c = PREDICT_CHUNK_NODES
+        sizes = [c // 2, c // 3, 1, c // 2, c + 6, c // 6, c // 2, 3]
+        cfg = ModelConfig(n_classes=6, hidden_dim=8, seed=4)
+        params = init_model(cfg)
+        graphs = [fixed_graph(n=n, k=3, seed=i) for i, n in enumerate(sizes)]
+        full_forward = nn.full_forward
+        drawn = run = 0
+        ahead = []
+
+        def draw():
+            nonlocal drawn
+            for g in graphs:
+                drawn += 1
+                yield g
+
+        def forward(params, batch):
+            nonlocal run
+            run += batch.adj.shape[0]  # one adjacency block per graph
+            ahead.append(drawn - run)
+            return full_forward(params, batch)
+
+        monkeypatch.setattr(nn, "full_forward", forward)
+        predict(draw(), params, cfg)
+        assert run == len(graphs)
+        assert len(ahead) == 4 and max(ahead) <= 1
+
+    @pytest.mark.parametrize("k", [5, "all"])
+    def test_generator_equals_list_bit_for_bit(self, k):
+        c = PREDICT_CHUNK_NODES
+        sizes = [c // 2, c // 3, 2, c // 2, c + 6, 7]
+        cfg = ModelConfig(n_classes=6, hidden_dim=8, k=k, seed=3)
+        params = init_model(cfg)
+        graphs = [fixed_graph(n=n, k=k, seed=i) for i, n in enumerate(sizes)]
+        from_list = predict(graphs, params, cfg)
+        from_generator = predict((g for g in graphs), params, cfg)
+        for field in ("is_invalid", "corrected_label", "confidence", "validity_prob"):
+            assert getattr(from_list, field).tobytes() == getattr(from_generator, field).tobytes()
+
     def test_padding_never_reaches_real_nodes(self):
         # in one batch, the small graph's block is zero-padded to the larger's
         cfg = ModelConfig(n_classes=6, hidden_dim=8, seed=6)
         params = init_model(cfg)
         small, larger = fixed_graph(n=5, k=3, seed=1), fixed_graph(n=40, k=3, seed=2)
-        assert len(chunked([small, larger], lambda g: g.n_nodes)) == 1
+        assert len(list(chunked([small, larger]))) == 1
         alone = predict([small], params, cfg)
         padded = predict([small, larger], params, cfg)
         for field in ("is_invalid", "corrected_label"):

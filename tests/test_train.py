@@ -149,6 +149,18 @@ class TestTrain:
         with pytest.raises(ConfigMismatchError, match="n_classes=10"):
             train(graphs, cfg, other)
 
+    def test_validation_graphs_checked_before_the_first_step(self, monkeypatch):
+        cfg = self._small_config()
+        graphs = build_dataset(_frames(6), cfg, seed=0)
+        other = build_dataset(_frames(2), self._small_config(n_classes=10), seed=0)
+
+        def backward(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(nn, "backward", backward)
+        with pytest.raises(ConfigMismatchError, match="n_classes=10"):
+            train(graphs, cfg, graphs[:2] + other)
+
     def test_no_split_leakage_into_corruption(self):
         # corruption is applied after splitting: the test frames' graphs are
         # derivable from the test frames alone
