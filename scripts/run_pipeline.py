@@ -3,6 +3,10 @@
 mAP@50 recovery from correcting a simulated detector's outputs.
 
     python3 scripts/run_pipeline.py --workdir /tmp/scenegnn-demo --seed 0
+
+Each stage's line shows the elapsed time and the process's resident-memory
+high-water mark so far; summary.json keeps the latter per stage as
+``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import time
 
 from scenegnn.correct import correct_detections, simulate_detector
@@ -38,6 +43,12 @@ def correction_counts(truth: list[int], before: list[int], after: list[int]) -> 
     return counts
 
 
+def peak_rss_mb() -> float:
+    """The process's resident-memory high-water mark so far, in MB (Linux
+    counts ``ru_maxrss`` in KB), as the benchmark reads ``peak_rss_mb``."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--workdir", required=True)
@@ -51,11 +62,17 @@ def main() -> None:
     os.makedirs(args.workdir, exist_ok=True)
 
     t0 = time.perf_counter()
+    peaks: dict[str, float] = {}
+
+    def stage(name: str, message: str) -> None:
+        peaks[name] = round(peak_rss_mb(), 1)
+        print(f"[{time.perf_counter() - t0:6.1f}s {peaks[name]:6.1f} MB] {message}")
+
     template = gen_template(args.classes, derive_seed(args.seed, "synth"))
     frames = render_views(
         template, args.frames, dropout_prob=0.05, seed=derive_seed(args.seed, "views")
     )
-    print(f"[{time.perf_counter() - t0:6.1f}s] generated {len(frames)} frames")
+    stage("synth", f"generated {len(frames)} frames")
 
     config = ModelConfig(
         n_classes=args.classes, k=args.k, rho=args.rho,
@@ -65,18 +82,20 @@ def main() -> None:
     train_g = build_dataset(train_f, config, derive_seed(args.seed, "train-data"))
     val_g = build_dataset(val_f, config, derive_seed(args.seed, "val-data"))
     _, best, history = train(train_g, config, val_g)
-    print(
-        f"[{time.perf_counter() - t0:6.1f}s] trained {args.epochs} epochs, "
-        f"loss {history.epochs[0].total_loss:.4f} -> {history.epochs[-1].total_loss:.4f}"
+    stage(
+        "train",
+        f"trained {args.epochs} epochs, "
+        f"loss {history.epochs[0].total_loss:.4f} -> {history.epochs[-1].total_loss:.4f}",
     )
     ckpt_path = os.path.join(args.workdir, "model.ckpt")
     save_checkpoint(best, config, ckpt_path)
 
     test_g = build_dataset(test_f, config, derive_seed(args.seed, "test-data"))
     report = evaluate_graphs(test_g, best, config)
-    print(
-        f"[{time.perf_counter() - t0:6.1f}s] test validity acc "
-        f"{report.validity_accuracy:.4f}, weighted F1 {report.label.weighted_f1:.4f}"
+    stage(
+        "eval",
+        f"test validity acc {report.validity_accuracy:.4f}, "
+        f"weighted F1 {report.label.weighted_f1:.4f}",
     )
 
     dets = simulate_detector(
@@ -86,10 +105,7 @@ def main() -> None:
     _, before = map50(dets, test_f)
     fixed, _ = correct_detections(dets, best, config)
     _, after = map50(fixed, test_f)
-    print(
-        f"[{time.perf_counter() - t0:6.1f}s] simulated detector mAP@50 "
-        f"{before:.4f} -> {after:.4f} (+{after - before:.4f})"
-    )
+    stage("correct", f"simulated detector mAP@50 {before:.4f} -> {after:.4f} (+{after - before:.4f})")
     # simulate_detector keeps every test frame's objects, in order
     counts = correction_counts(
         [label for frame in test_f for label in frame.labels.tolist()],
@@ -108,6 +124,7 @@ def main() -> None:
                 "map50_after": after,
                 "corrections": counts,
                 "checkpoint": ckpt_path,
+                "peak_rss_mb": peaks,
             },
             indent=2,
         )

@@ -57,7 +57,7 @@ def corrupt_frame(
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
 
-    original = frame.labels.copy()
+    original = frame.labels  # read-only, so shared
     validity = np.ones(n, dtype=bool)
     if cfg.rho == 0:
         return frame, validity, original

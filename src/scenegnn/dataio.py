@@ -25,7 +25,7 @@ class FramesFileError(ValueError):
     """Malformed frames/detections file; message carries the line number."""
 
 
-@dataclass
+@dataclass(eq=False)
 class FrameRecord:
     frame: Frame
     validity: np.ndarray | None = None  # per-object, True = unmodified

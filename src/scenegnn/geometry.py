@@ -15,7 +15,7 @@ from dataclasses import dataclass
 SIZE_RATIO_CAP = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     x_min: float
     y_min: float

@@ -13,7 +13,7 @@ from .nn import ModelParams
 from .scenegraph import Frame, SceneGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     frame_id: str
     class_id: int
@@ -34,7 +34,7 @@ def validity_accuracy(predicted: np.ndarray, gt: np.ndarray) -> float:
     return float(np.mean(predicted == gt))
 
 
-@dataclass
+@dataclass(eq=False)
 class LabelMetrics:
     accuracy: float
     weighted_precision: float
@@ -167,7 +167,7 @@ def map50(
     return per_class_ap, mean_ap
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalReport:
     validity_accuracy: float
     label: LabelMetrics

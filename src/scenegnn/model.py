@@ -95,7 +95,7 @@ def _check_compatible(n_classes: int, config: ModelConfig) -> None:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class Prediction:
     is_invalid: np.ndarray  # N bools
     corrected_label: np.ndarray  # N ints, argmax of the label head
@@ -153,7 +153,7 @@ def predict(graphs: Iterable[SceneGraph], params: ModelParams, config: ModelConf
 # checkpoints
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
     config: ModelConfig
     params: ModelParams

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .scenegraph import SceneGraph
+from .scenegraph import SceneGraph, box_features
 
 LOG_EPS = 1e-12
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
@@ -35,20 +35,20 @@ class NumericalError(RuntimeError):
 # parameters
 
 
-@dataclass
+@dataclass(eq=False)
 class SageLayer:
     w_self: np.ndarray  # out x in
     w_neigh: np.ndarray  # out x in_msg
     bias: np.ndarray  # out
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearHead:
     w: np.ndarray  # out x in
     b: np.ndarray  # out
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     sage1: SageLayer
     sage2: SageLayer
@@ -116,7 +116,7 @@ def init_params(
 # batches
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphBatch:
     """Disjoint union of scene graphs prepared for forward/backward passes."""
 
@@ -149,11 +149,12 @@ class PackedGraphs:
     reads graphs: make_batch gathers a batch of any of them. Training packs
     its training set into one, and make_batch packs a list it is given.
 
-    Per node it holds the node features, current label, targets, degree and
+    Per node it holds the box features, current label, targets, degree and
     the mean normalised feature of the node's out-edges; per edge, the
-    neighbour's index within its graph, grouped by source with a stable sort;
-    per graph, node and edge offsets. The one-hot inputs and the adjacency
-    blocks are built per batch.
+    neighbour's index within its graph, grouped by source (a stable sort
+    runs only when some graph's edges are not); per graph, node and edge
+    offsets. The one-hot inputs and the adjacency blocks are built per
+    batch.
     """
 
     def __init__(self, graphs: list[SceneGraph]) -> None:
@@ -168,17 +169,22 @@ class PackedGraphs:
         self.node_start = np.array([0, *accumulate(sizes)], dtype=np.int64)
         self.edge_start = np.array([0, *accumulate(g.n_edges for g in graphs)], dtype=np.int64)
         n = int(self.node_start[-1])
-        self.node_features = np.concatenate([g.node_features for g in graphs])
+        # once per store from all the boxes: the graphs keep no copy, and a
+        # gather per batch costs less than computing them per batch
+        self.node_features = box_features(np.concatenate([g.boxes for g in graphs]))
         self.current_labels = np.concatenate([g.current_labels for g in graphs])
         self.validity = np.concatenate([g.validity for g in graphs])
         self.original_labels = np.concatenate([g.original_labels for g in graphs])
         self.edge_mean = np.concatenate([g.edge_mean for g in graphs])
         # graphs own disjoint, increasing ranges of the global source index,
-        # so one stable sort keeps each graph's edges in its range, by source
-        edges = np.concatenate([g.edges for g in graphs])
-        src = edges[:, 0] + np.repeat(self.node_start[:-1], np.diff(self.edge_start))
+        # so one stable sort keeps each graph's edges in its range, by source;
+        # build_graph's edges are already grouped, and need none
+        src = np.concatenate([g.edges[:, 0] for g in graphs], dtype=np.int32)
+        src += np.repeat(self.node_start[:-1].astype(np.int32), np.diff(self.edge_start))
         self.degree = np.bincount(src, minlength=n).astype(np.int32)
-        self.neighbour = edges[np.argsort(src, kind="stable"), 1]
+        self.neighbour = np.concatenate([g.edges[:, 1] for g in graphs], dtype=np.int32)
+        if not (src[1:] >= src[:-1]).all():
+            self.neighbour = self.neighbour[np.argsort(src, kind="stable")]
 
     def __len__(self) -> int:
         return self.graph_nodes.shape[0]
@@ -272,7 +278,7 @@ def heads_forward(
     return sigmoid(v_logit), logits
 
 
-@dataclass
+@dataclass(eq=False)
 class ForwardCache:
     x: np.ndarray
     agg1: np.ndarray
@@ -399,7 +405,7 @@ def _views(params: ModelParams, flat: np.ndarray) -> ModelParams:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """Adam over flat float64 buffers: ``params``, ``grad``, ``m`` and ``v``
     each hold every tensor in PARAM_FIELDS order. for_params rebinds the

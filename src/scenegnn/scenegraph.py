@@ -1,11 +1,11 @@
-"""Per-frame spatial graphs read from one N x 4 box array: node features,
-k-NN edges by one stable sort, and each node's mean out-edge geometry."""
+"""Per-frame spatial graphs read from one N x 4 box array: k-NN edges by one
+stable sort and each node's mean out-edge geometry. Node features and raw
+edge geometry are derived from the boxes when read."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -103,13 +103,13 @@ class Frame:
         return hash(self.frame_id)
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class SceneGraph:
     """Graph view of one frame; node order follows the frame's object order.
-    ``edge_features`` is computed from ``boxes`` and ``edges`` on first
-    access, so do not edit ``edges`` after the build."""
+    ``node_features`` is computed from ``boxes`` on each access and
+    ``edge_features`` from ``boxes`` and ``edges`` on first access, so do not
+    edit ``edges`` after the build."""
 
-    node_features: np.ndarray  # N x 4: x_center, y_center, w, h
     edges: np.ndarray  # E x 2 int32 (src, dst), directed
     edge_mean: np.ndarray  # N x 6 mean normalised feature of each node's out-edges
     boxes: np.ndarray  # N x 4 the frame's read-only corners
@@ -117,19 +117,37 @@ class SceneGraph:
     original_labels: np.ndarray  # N ints, pre-corruption ground truth
     current_labels: np.ndarray  # N ints, possibly corrupted / detector-predicted
     n_classes: int
+    _edge_features: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
-        return self.node_features.shape[0]
+        return self.boxes.shape[0]
 
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    @cached_property
+    @property
+    def node_features(self) -> np.ndarray:
+        """N x 4 ``box_features`` of the boxes."""
+        return box_features(self.boxes)
+
+    @property
     def edge_features(self) -> np.ndarray:
         """E x 6 raw pairwise geometry per directed edge."""
-        return edge_geometry(self.boxes, self.edges)
+        if self._edge_features is None:
+            self._edge_features = edge_geometry(self.boxes, self.edges)
+        return self._edge_features
+
+    @edge_features.setter
+    def edge_features(self, value: np.ndarray) -> None:
+        self._edge_features = value
+
+
+def box_features(boxes: np.ndarray) -> np.ndarray:
+    """N x 4 x_center, y_center, w, h of each row of the N x 4 corners
+    ``boxes``: the node features that the network reads."""
+    return np.column_stack([(boxes[:, :2] + boxes[:, 2:]) / 2.0, boxes[:, 2:] - boxes[:, :2]])
 
 
 def is_integer(value: object) -> bool:
@@ -183,8 +201,8 @@ def edge_geometry(boxes: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
-    """Node features [x_center, y_center, w, h], k-NN edges and each node's
-    mean out-edge geometry, read from the frame's arrays, which it shares."""
+    """k-NN edges and each node's mean out-edge geometry, read from the
+    frame's arrays, which the graph shares."""
     labels = frame.labels
     if len(labels) == 0:
         raise ValueError(f"frame {frame.frame_id!r} has no objects")
@@ -194,9 +212,7 @@ def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
     if out_of_range.size:
         raise ValueError(f"label_id {out_of_range[0]} out of range for {n_classes} classes")
     boxes, n = frame.boxes, len(labels)
-    centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
-    node_features = np.column_stack([centers, boxes[:, 2:] - boxes[:, :2]])
-    edges = knn_edges(centers, k)
+    edges = knn_edges((boxes[:, :2] + boxes[:, 2:]) / 2.0, k)
     edge_features, src = edge_geometry(boxes, edges), edges[:, 0]
     share = (1.0 / np.maximum(np.bincount(src, minlength=n), 1.0))[src]
     edge_mean = np.empty((n, 6))
@@ -206,7 +222,6 @@ def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
         terms = normalize_edge_column(edge_features[:, c], c) * share
         edge_mean[:, c] = np.bincount(src, terms, minlength=n)
     return SceneGraph(
-        node_features=node_features,
         edges=edges,
         edge_mean=edge_mean,
         boxes=boxes,

@@ -22,7 +22,7 @@ MIN_VISIBLE_FRACTION = 0.30
 MAX_RETRIES = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayoutTemplate:
     anchors: np.ndarray  # n_classes x 2 centers in world coords
     sizes: np.ndarray  # n_classes x 2 (w, h)

@@ -67,6 +67,13 @@ def clamp_box(x_min: float, y_min: float, x_max: float, y_max: float) -> Boundin
     return BoundingBox(clip(lo_x), clip(lo_y), clip(hi_x), clip(hi_y))
 
 
+def center_and_size(boxes: np.ndarray) -> np.ndarray:
+    """[x_center, y_center, w, h] of each row of the N x 4 corner array
+    ``boxes``, as one expression: the reference for ``SceneGraph.node_features``
+    and the box columns of a batch's ``x``."""
+    return np.column_stack([(boxes[:, :2] + boxes[:, 2:]) / 2.0, boxes[:, 2:] - boxes[:, :2]])
+
+
 def normalize_edge_features(edge_features: np.ndarray) -> np.ndarray:
     """Scale raw edge features before they enter a learned layer, all columns
     at once: the reference for ``scenegraph.normalize_edge_column``.

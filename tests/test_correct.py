@@ -18,7 +18,7 @@ from scenegnn.geometry import BoundingBox
 from scenegnn.metrics import Detection
 from scenegnn.model import ModelConfig, ModelParams, init_model, predict
 from scenegnn.nn import param_items
-from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject
+from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject, build_graph
 from scenegnn.synth import gen_template, render_views
 from scenegnn.train import build_dataset, train
 
@@ -290,10 +290,15 @@ class TestMemoryBudget:
     # (40 B) plus each frame's arrays, id and object.
     BYTES_PER_OBJECT = 160
     # Traced bytes that build_dataset graphs hold per graph at desk shapes
-    # (about 9 nodes and 52 edges): node features, edges, edge means and the
-    # arrays of each corrupted twin, about 2.2 KB. A graph that also held its
-    # raw E x 6 edge geometry would hold about 4.4 KB.
-    BYTES_PER_GRAPH = 3000
+    # (about 9 nodes and 52 edges): edges, edge means, the slotted graph and
+    # the arrays of each corrupted twin, about 1.65 KB. A graph that also
+    # held its node features and a __dict__ would hold about 2.2 KB, and one
+    # that held its raw E x 6 edge geometry too about 4.4 KB.
+    BYTES_PER_GRAPH = 1800
+    # Traced bytes of one Detection with its BoundingBox and their five
+    # floats: 248 B when both are slotted, about 288 B when either has a
+    # __dict__ and 328 B when both have.
+    BYTES_PER_DETECTION = 270
 
     def test_dense_frame_peak_per_edge(self):
         config = ModelConfig(n_classes=39, k=ALL_NEIGHBORS)
@@ -335,6 +340,31 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert len(graphs) == 600 and sum(g.n_edges for g in graphs) > 40 * len(graphs)
         assert held / len(graphs) < self.BYTES_PER_GRAPH
+
+    def test_graphs_and_detections_have_no_instance_dict(self):
+        frame = Frame("f", (SceneObject(1, BoundingBox(0.1, 0.1, 0.2, 0.2)),))
+        graph = build_graph(frame, 5, 3)
+        det = Detection("f", 1, frame.objects[0].bbox, 0.9)
+        for obj in (graph, det, det.bbox):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+    def test_detection_bytes(self):
+        rng = np.random.default_rng(3)
+        n = 2000
+        low = rng.uniform(0.0, 0.5, (n, 2))
+        boxes = np.hstack([low, low + rng.uniform(0.01, 0.4, (n, 2))])
+        confidences = rng.uniform(0.5, 1.0, n)
+        dets = [None] * n
+        Detection("f", 3, BoundingBox(*boxes[0].tolist()), float(confidences[0]))  # first-call allocations
+        tracemalloc.start()
+        try:
+            for i in range(n):
+                # new floats for each detection, as parsing a file makes them
+                dets[i] = Detection("f", 3, BoundingBox(*boxes[i].tolist()), float(confidences[i]))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / n < self.BYTES_PER_DETECTION
 
 
 class TestSimulateDetector:

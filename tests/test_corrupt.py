@@ -109,9 +109,10 @@ def test_input_frame_bytes_unchanged():
     frame = make_frame(8)
     boxes, labels = frame.boxes.tobytes(), frame.labels.tobytes()
     cfg = CorruptionConfig(rho=5, jitter_sigma=0.05, seed=2)
-    out, validity, _ = corrupt_frame(frame, cfg, 10)
+    out, validity, original = corrupt_frame(frame, cfg, 10)
     assert (~validity).any() and out.boxes.tobytes() != boxes
     assert frame.boxes.tobytes() == boxes and frame.labels.tobytes() == labels
+    assert original is frame.labels and not original.flags.writeable  # shared, not copied
 
 
 def test_empty_frame_rejected():

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from scenegnn import nn
+from scenegnn.dataio import FrameRecord
 from scenegnn.geometry import BoundingBox
+from scenegnn.metrics import evaluate_graphs
 from scenegnn.model import (
     CHECKPOINT_MAGIC,
     PREDICT_CHUNK_NODES,
+    Checkpoint,
     CheckpointDimensionError,
     CheckpointFormatError,
     CheckpointVersionError,
@@ -22,6 +25,7 @@ from scenegnn.model import (
     save_checkpoint,
 )
 from scenegnn.scenegraph import Frame, SceneObject, build_graph
+from scenegnn.synth import gen_template
 
 from oracles import normalize_edge_features
 
@@ -484,3 +488,37 @@ class TestConfigValidation:
         # one-hot label plus the four box features
         assert ModelConfig(n_classes=39).input_dim == 43
         assert ModelConfig(n_classes=2).input_dim == 6
+
+
+class TestArrayHolders:
+    ARRAY_HOLDERS = {
+        "LayoutTemplate", "SceneGraph", "GraphBatch", "ForwardCache", "SageLayer", "LinearHead",
+        "ModelParams", "AdamState", "Prediction", "Checkpoint", "LabelMetrics", "EvalReport",
+        "FrameRecord",
+    }
+
+    @staticmethod
+    def build() -> list:
+        """One instance of each dataclass that holds an array."""
+        cfg = ModelConfig(n_classes=6, hidden_dim=8)
+        g = fixed_graph()
+        g.validity = np.array([True, False, True, False])
+        batch = nn.make_batch([g])
+        params = init_model(cfg)
+        report = evaluate_graphs([g], params, cfg)
+        return [
+            gen_template(5, 0), g, batch, nn.full_forward(params, batch), params.sage1,
+            params.valid_head, params, nn.AdamState.for_params(init_model(cfg), cfg.lr),
+            predict([g], params, cfg), Checkpoint(cfg, params), report.label, report,
+            FrameRecord(Frame.from_arrays("f", g.boxes, g.current_labels), g.validity, g.original_labels),
+        ]
+
+    def test_compare_and_hash_by_identity(self):
+        # a generated __eq__ compares the arrays, which raises, and a
+        # generated __hash__ of a frozen class hashes them, which raises too
+        pairs = list(zip(self.build(), self.build()))
+        assert {type(a).__name__ for a, _ in pairs} == self.ARRAY_HOLDERS
+        for a, b in pairs:
+            assert a == a and a != b, type(a).__name__
+            assert a in [b, a] and [b, a].index(a) == 1, type(a).__name__
+            assert hash(a) == hash(a) and hash(a) != hash(b), type(a).__name__

@@ -8,7 +8,7 @@ from scenegnn.geometry import BoundingBox
 from scenegnn.model import PREDICT_CHUNK_NODES, ModelConfig, init_model
 from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject, build_graph
 
-from oracles import normalize_edge_features
+from oracles import center_and_size, normalize_edge_features
 
 N_CLASSES = 10
 IN_DIM = N_CLASSES + 4  # one-hot label, then the four box features
@@ -418,6 +418,38 @@ class TestPackedBatch:
             names = BATCH_FIELDS[fields]
             assert_batches_identical(nn.make_batch(store, ids), expected, names)
             assert_batches_identical(nn.make_batch(chosen), expected, names)
+
+    @pytest.mark.parametrize("permuted", [False, True], ids=["grouped", "permuted"])
+    def test_store_sorts_only_edges_not_grouped_by_source(self, monkeypatch, permuted):
+        rng = np.random.default_rng(16)
+        graphs = [random_graph(int(n), rng, k=k) for n, k in zip(rng.integers(1, 12, 20), [5, ALL_NEIGHBORS] * 10)]
+        graphs[3] = random_graph(6, rng)
+        if permuted:
+            perm = rng.permutation(graphs[3].n_edges)
+            graphs[3].edges, graphs[3].edge_features = graphs[3].edges[perm], graphs[3].edge_features[perm]
+            assert (np.diff(graphs[3].edges[:, 0]) < 0).any()
+        sorts, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(a) or argsort(*a, **kw))
+        store = nn.PackedGraphs(graphs)
+        monkeypatch.undo()
+        assert len(sorts) == permuted
+        # the reference sums a permuted graph's edge means in its new edge
+        # order; the store passes on the graph's own
+        names = [f for f in BATCH_FIELDS["onehot"] + BATCH_FIELDS["scalar"] if f != "edge_mean"]
+        for ids in ([3], [0, 3], [5, 1, 3], list(range(len(graphs)))):
+            chosen = [graphs[i] for i in ids]
+            batch = nn.make_batch(store, ids)
+            assert_batches_identical(batch, reference_batch(chosen), names)
+            assert batch.edge_mean.tobytes() == np.concatenate([g.edge_mean for g in chosen]).tobytes()
+
+    @pytest.mark.parametrize("k", [5, ALL_NEIGHBORS])
+    def test_box_columns_derived_from_boxes_bit_for_bit(self, k):
+        rng = np.random.default_rng(17)
+        graphs = [random_graph(n, rng, k=k) for n in (9, 1, 40)]
+        for chosen in ([graphs[1]], graphs):
+            x = nn.make_batch(chosen).x
+            boxes = np.concatenate([g.boxes for g in chosen])
+            assert x[:, N_CLASSES:].tobytes() == center_and_size(boxes).tobytes()
 
     def test_graphs_of_different_class_counts_rejected(self):
         rng = np.random.default_rng(14)

@@ -15,7 +15,13 @@ from scenegnn.scenegraph import (
     normalize_edge_column,
 )
 
-from oracles import corners_near_bounds, edge_means, edge_rows, normalize_edge_features
+from oracles import (
+    center_and_size,
+    corners_near_bounds,
+    edge_means,
+    edge_rows,
+    normalize_edge_features,
+)
 
 
 def obj(label, x0, y0, x1, y1):
@@ -187,6 +193,16 @@ class TestNodeFeatures:
     def test_range(self):
         f = node_features(obj(3, 0.1, 0.2, 0.9, 0.95), 5)
         assert np.all((f >= 0) & (f <= 1))
+
+    @pytest.mark.parametrize("k", [5, ALL_NEIGHBORS])
+    @pytest.mark.parametrize("n", [1, 9, 40])
+    def test_derived_from_boxes_bit_for_bit(self, n, k):
+        rng = np.random.default_rng(n)
+        objs = [point_obj(int(rng.integers(39)), *rng.uniform(0.05, 0.95, 2), rng.uniform(0, 0.05))
+                for _ in range(n)]
+        g = build_graph(Frame("f", tuple(objs)), k, 39)
+        assert g.node_features.dtype == np.float64 and g.node_features.shape == (n, 4)
+        assert g.node_features.tobytes() == center_and_size(g.boxes).tobytes()
 
 
 class TestKnnEdges:
