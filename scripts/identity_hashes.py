@@ -6,10 +6,11 @@
 It runs the `scripts/run_pipeline.py` settings (39 classes, 2000 views, k=5,
 rho=3, 30 epochs) at each seed and prints the hash of the rendered frames
 (boxes and labels), the training graphs (edges as int64, edge and node
-features), the final and best parameters, the training history, the test
-EvalReport, mAP@50 before correction, and the corrected labels, correction
-records and mAP@50 after correction at k=5 and k="all". Run it in two
-checkouts and diff the outputs to check that a change keeps every byte.
+features), the final and best parameters, the training history, the file
+that save_checkpoint writes for the best parameters, the test EvalReport,
+mAP@50 before correction, and the corrected labels, correction records and
+mAP@50 after correction at k=5 and k="all". Run it in two checkouts and diff
+the outputs to check that a change keeps every byte.
 Standard library and numpy only.
 """
 
@@ -18,14 +19,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import tempfile
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 
 from scenegnn.correct import correct_detections, simulate_detector
 from scenegnn.corrupt import derive_seed
 from scenegnn.metrics import evaluate_graphs, map50
-from scenegnn.model import ModelConfig
+from scenegnn.model import ModelConfig, save_checkpoint
 from scenegnn.nn import param_items
 from scenegnn.scenegraph import ALL_NEIGHBORS
 from scenegnn.synth import gen_template, render_views
@@ -38,6 +41,13 @@ def sha(data: bytes) -> str:
 
 def params_hash(params) -> str:
     return sha(b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in param_items(params)))
+
+
+def checkpoint_hash(params, config, metadata) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "best.ckpt"
+        save_checkpoint(params, config, str(path), metadata=metadata)
+        return sha(path.read_bytes())
 
 
 def json_hash(obj) -> str:
@@ -75,6 +85,9 @@ def seed_hashes(seed: int, n_classes: int, n_frames: int, epochs: int) -> dict[s
         "final_params": params_hash(final),
         "best_params": params_hash(best),
         "history": json_hash(history.to_jsonable()),
+        "checkpoint": checkpoint_hash(
+            best, config, {"epochs_run": epochs, "final_loss": history.epochs[-1].total_loss}
+        ),
         "eval_report": json_hash(evaluate_graphs(test_g, best, config).to_jsonable()),
     }
     dets = simulate_detector(test_f, n_classes, rho_det=3, sigma_det=0.01, seed=derive_seed(seed, "detector"))

@@ -273,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    except (dataio.FramesFileError, CheckpointError, FileNotFoundError, ValueError) as exc:
+    except (dataio.FramesFileError, CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalError, FloatingPointError) as exc:

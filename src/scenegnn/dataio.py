@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -42,12 +41,15 @@ class FrameDataset:
         return [r.frame for r in self.records]
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file and rename; interrupted runs never truncate."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
+def atomic_write_text(path: str, data: str | bytes) -> None:
+    """Write ``data`` via a temp file in the target's directory and a rename,
+    so interrupted runs never truncate; the temp file goes on any failure. A
+    new file gets the mode that ``open`` gives it, 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import nn
-from .nn import ModelParams, param_items, set_param
+from .nn import ModelParams, param_items
 from .scenegraph import SceneGraph, check_k, is_integer
 
 CHECKPOINT_MAGIC = b"#scenegnn-checkpoint\n"
@@ -157,7 +155,6 @@ def predict(graphs: Iterable[SceneGraph], params: ModelParams, config: ModelConf
 class Checkpoint:
     config: ModelConfig
     params: ModelParams
-    format_version: int = CHECKPOINT_VERSION
     metadata: dict = field(default_factory=dict)
 
 
@@ -168,7 +165,9 @@ def save_checkpoint(
     metadata: dict | None = None,
 ) -> None:
     """Self-describing header followed by little-endian float64 blocks in
-    PARAM_FIELDS order; written atomically."""
+    param_items order; written atomically."""
+    from .dataio import atomic_write_text  # here: model -> dataio -> metrics -> model is a cycle
+
     items = param_items(params)
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -176,19 +175,11 @@ def save_checkpoint(
         "metadata": metadata or {},
         "tensors": [{"name": n, "shape": list(a.shape)} for n, a in items],
     }
-    payload = json.dumps(header, sort_keys=True).encode() + b"\n"
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(payload)
-            for _, arr in items:
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, b"".join([
+        CHECKPOINT_MAGIC,
+        json.dumps(header, sort_keys=True).encode() + b"\n",
+        *(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in items),
+    ]))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -198,12 +189,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         blob = f.read()
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise CheckpointFormatError(f"{path}: not a scenegnn checkpoint")
-    rest = blob[len(CHECKPOINT_MAGIC):]
-    nl = rest.find(b"\n")
+    nl = blob.find(b"\n", len(CHECKPOINT_MAGIC))
     if nl < 0:
         raise CheckpointFormatError(f"{path}: truncated header")
     try:
-        header = json.loads(rest[: nl].decode())
+        header = json.loads(blob[len(CHECKPOINT_MAGIC): nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -234,34 +224,32 @@ def load_checkpoint(path: str) -> Checkpoint:
     except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: bad config: {exc}") from exc
 
-    params = init_model(config)
-    items = param_items(params)
+    template = init_model(config)
+    items = param_items(template)
     tensors = header.get("tensors", [])
     if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
         raise CheckpointFormatError(f"{path}: tensors is not a list of JSON objects")
     if [t.get("name") for t in tensors] != [name for name, _ in items]:
         raise CheckpointDimensionError(f"{path}: unexpected tensor list")
 
-    body = rest[nl + 1:]
-    offset = 0
-    for t, (name, current) in zip(tensors, items):
-        if t.get("shape") != list(current.shape):
+    # the body as far as it reaches, one view per tensor; blocks are then
+    # checked in file order
+    body_len = len(blob) - (nl + 1)
+    flat = np.zeros(sum(arr.size for _, arr in items))
+    n = min(body_len // flat.itemsize, flat.size)
+    flat[:n] = np.frombuffer(blob, dtype="<f8", count=n, offset=nl + 1)
+    params = nn._views(template, flat)
+    end = 0
+    for t, (name, loaded) in zip(tensors, param_items(params)):
+        if t.get("shape") != list(loaded.shape):
             raise CheckpointDimensionError(
-                f"{path}: {name} has shape {t.get('shape')}, expected {list(current.shape)}"
+                f"{path}: {name} has shape {t.get('shape')}, expected {list(loaded.shape)}"
             )
-        chunk = body[offset: offset + current.nbytes]
-        if len(chunk) != current.nbytes:
+        end += loaded.nbytes
+        if end > body_len:
             raise CheckpointFormatError(f"{path}: truncated parameter block {name}")
-        loaded = np.frombuffer(chunk, dtype="<f8").reshape(current.shape).copy()
         if not np.all(np.isfinite(loaded)):
             raise CheckpointFormatError(f"{path}: non-finite values in {name}")
-        set_param(params, name, loaded)
-        offset += current.nbytes
-    if offset != len(body):
+    if end != body_len:
         raise CheckpointFormatError(f"{path}: trailing bytes after parameters")
-    return Checkpoint(
-        config=config,
-        params=params,
-        format_version=header["format_version"],
-        metadata=header.get("metadata", {}),
-    )
+    return Checkpoint(config=config, params=params, metadata=header.get("metadata", {}))

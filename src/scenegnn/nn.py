@@ -16,7 +16,7 @@ in place. Each of these keeps the bits of the plain expressions it replaces.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -56,31 +56,13 @@ class ModelParams:
     label_head: LinearHead
 
 
-# Fixed serialization / optimizer order for every tensor in the model.
-PARAM_FIELDS: tuple[tuple[str, str], ...] = (
-    ("sage1", "w_self"),
-    ("sage1", "w_neigh"),
-    ("sage1", "bias"),
-    ("sage2", "w_self"),
-    ("sage2", "w_neigh"),
-    ("sage2", "bias"),
-    ("valid_head", "w"),
-    ("valid_head", "b"),
-    ("label_head", "w"),
-    ("label_head", "b"),
-)
-
-
 def param_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """Every tensor of ``params``, named ``part.tensor``, in the order of the
+    dataclass fields: the order of checkpoint blocks and Adam's buffers."""
+    parts = ((p.name, getattr(params, p.name)) for p in fields(params))
     return [
-        (f"{obj}.{attr}", getattr(getattr(params, obj), attr))
-        for obj, attr in PARAM_FIELDS
+        (f"{name}.{t.name}", getattr(part, t.name)) for name, part in parts for t in fields(part)
     ]
-
-
-def set_param(params: ModelParams, name: str, value: np.ndarray) -> None:
-    obj, attr = name.split(".")
-    setattr(getattr(params, obj), attr, value)
 
 
 def _glorot(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -392,24 +374,23 @@ def backward(
 
 def _views(params: ModelParams, flat: np.ndarray) -> ModelParams:
     """A model shaped like ``params`` whose tensors are consecutive views of
-    ``flat``, in PARAM_FIELDS order."""
-    views, offset = [], 0
-    for _, arr in param_items(params):
-        views.append(flat[offset: offset + arr.size].reshape(arr.shape))
-        offset += arr.size
-    return ModelParams(
-        sage1=SageLayer(*views[0:3]),
-        sage2=SageLayer(*views[3:6]),
-        valid_head=LinearHead(*views[6:8]),
-        label_head=LinearHead(*views[8:10]),
-    )
+    ``flat``, in param_items order."""
+    ends = list(accumulate(arr.size for _, arr in param_items(params)))
+    views = iter(np.split(flat, ends[:-1]))
+
+    def rebuild(obj):
+        if not is_dataclass(obj):
+            return next(views).reshape(obj.shape)
+        return replace(obj, **{f.name: rebuild(getattr(obj, f.name)) for f in fields(obj)})
+
+    return rebuild(params)
 
 
 @dataclass(eq=False)
 class AdamState:
     """Adam over flat float64 buffers: ``params``, ``grad``, ``m`` and ``v``
-    each hold every tensor in PARAM_FIELDS order. for_params rebinds the
-    model's arrays to views of ``params``, so one step updates them all;
+    each hold every tensor in param_items order. for_params rebinds the
+    model's parts to views of ``params``, so one step updates them all;
     ``grads`` views ``grad``, for backward to write into."""
 
     params: np.ndarray
@@ -428,8 +409,7 @@ class AdamState:
     @classmethod
     def for_params(cls, params: ModelParams, lr: float) -> "AdamState":
         flat = np.concatenate([arr.ravel() for _, arr in param_items(params)], dtype=np.float64)
-        for name, view in param_items(_views(params, flat)):
-            set_param(params, name, view)
+        vars(params).update(vars(_views(params, flat)))
         grad = np.zeros_like(flat)
         return cls(
             params=flat, grad=grad, grads=_views(params, grad),

@@ -6,6 +6,7 @@ import ast
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -364,6 +365,47 @@ class TestTrainCommand:
         assert len(history) == 2
         for epoch in history:
             assert epoch["val_validity_accuracy"] is None and epoch["val_label_f1"] is None
+
+
+class TestOutputFiles:
+    def test_written_files_get_the_mode_open_gives(self, capsys, tmp_path):
+        old = os.umask(0o022)
+        try:
+            data = str(tmp_path / "data.jsonl")
+            code, _, err = _run(capsys, ["synth", "--classes", "4", "--frames", "12", "--out", data])
+            assert code == EXIT_OK, err
+            ckpt = str(tmp_path / "m.ckpt")
+            code, _, err = _run(capsys, ["train", "--data", data, "--epochs", "1", "--out", ckpt])
+            assert code == EXIT_OK, err
+        finally:
+            os.umask(old)
+        names = ["data.jsonl", "data.jsonl.template.json", "m.ckpt", "m.ckpt.best",
+                 "m.ckpt.history.json"]
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+        for name in names:
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644, name
+
+    @pytest.mark.parametrize(
+        "command, flag", [("train", "--data"), ("train", "--out"), ("synth", "--out")]
+    )
+    def test_directory_as_path_exits_1(self, capsys, tmp_path, command, flag):
+        data = str(tmp_path / "data.jsonl")
+        synth = ["synth", "--classes", "4", "--frames", "12", "--out", data]
+        code, _, err = _run(capsys, synth)
+        assert code == EXIT_OK, err
+        argv = {
+            "synth": synth,
+            "train": ["train", "--data", data, "--epochs", "1", "--out", str(tmp_path / "m.ckpt")],
+        }[command]
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv[argv.index(flag) + 1] = str(folder)
+        before = sorted(os.listdir(tmp_path))
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and "internal error" not in err
+        assert out == ""
+        assert sorted(os.listdir(tmp_path)) == before and os.listdir(folder) == []
 
 
 class TestCorruptCommand:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -300,6 +301,35 @@ class TestAtomicWrite:
             atomic_write_text(path, json.dumps({"bad": object()}))
         with open(path) as f:
             assert f.read() == "original\n"
+
+
+    @pytest.mark.parametrize("data", ["text\n", b"\x00\xffbytes"], ids=["str", "bytes"])
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, data):
+        old = os.umask(0o027)
+        try:
+            atomic_write_text(str(tmp_path / "x"), data)
+            with open(tmp_path / "y", "w"):
+                pass
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("x", "y")]
+        assert modes == [0o640, 0o640]
+        mode = "rb" if isinstance(data, bytes) else "r"
+        with open(tmp_path / "x", mode) as f:
+            assert f.read() == data
+
+    def test_failed_replace_removes_the_temp_file_beside_the_target(self, tmp_path, monkeypatch):
+        sources = []
+
+        def failing_replace(src, dst):
+            sources.append(src)
+            raise OSError("no room")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no room"):
+            atomic_write_text(str(tmp_path / "x.ckpt"), b"data")
+        assert [os.path.dirname(src) for src in sources] == [str(tmp_path)]
+        assert os.listdir(tmp_path) == []
 
 
 class TestDetectionsValidation:

@@ -418,6 +418,80 @@ class TestCheckpointHeader:
             load_checkpoint(path)
 
 
+# Written by save_checkpoint before it wrote through dataio.atomic_write_text:
+# two epochs of training on 10 rendered views (5 classes, hidden_dim 3, k=3,
+# seed 11), with the metadata that `scenegnn train` records. Its config holds
+# none of the older keys.
+FORMAT_1_CKPT = Path(__file__).parent / "data" / "checkpoint_format_1.ckpt"
+NAN, INF = np.float64(np.nan).tobytes(), np.float64(np.inf).tobytes()
+
+
+class TestCheckpointCodec:
+    def test_written_checkpoint_saves_again_byte_for_byte(self, tmp_path):
+        ckpt = load_checkpoint(str(FORMAT_1_CKPT))
+        assert ckpt.config == ModelConfig(
+            n_classes=5, hidden_dim=3, k=3, epochs=2, batch_size=4, seed=11
+        )
+        assert set(ckpt.metadata) == {"epochs_run", "final_loss"}
+        path = tmp_path / "again.ckpt"
+        save_checkpoint(ckpt.params, ckpt.config, str(path), metadata=ckpt.metadata)
+        assert path.read_bytes() == FORMAT_1_CKPT.read_bytes()
+
+    def test_blocks_follow_the_tensor_list_and_the_adam_buffer(self, tmp_path):
+        cfg = ModelConfig(n_classes=6, hidden_dim=5, seed=3)
+        params = init_model(cfg)
+        state = nn.AdamState.for_params(params, lr=0.01)
+        before = state.params.copy()
+        g = fixed_graph(n=6, n_classes=6, k=3)
+        g.validity = np.array([True, False, True, True, False, True])
+        batch = nn.make_batch([g])
+        nn.backward(params, nn.full_forward(params, batch), batch, 1.0, 2.0, out=state.grads)
+        nn.adam_step(state)
+        assert (state.params != before).any()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, cfg, str(path))
+        blob = path.read_bytes()
+        nl = blob.index(b"\n", len(CHECKPOINT_MAGIC))
+        tensors = json.loads(blob[len(CHECKPOINT_MAGIC): nl])["tensors"]
+        assert [(t["name"], t["shape"]) for t in tensors] == [
+            (name, list(arr.shape)) for name, arr in nn.param_items(params)
+        ]
+        assert blob[nl + 1:] == state.params.astype("<f8").tobytes()
+        loaded = load_checkpoint(str(path)).params
+        assert b"".join(a.tobytes() for _, a in nn.param_items(loaded)) == state.params.tobytes()
+
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda head, body: head, "truncated header"),
+            (lambda head, body: head + b"\n", "truncated parameter block sage1.w_self"),
+            (lambda head, body: head + b"\n" + body[:-1], "truncated parameter block label_head.b"),
+            (lambda head, body: head + b"\n" + body + b"x", "trailing bytes after parameters"),
+            # sage1.w_self holds 8 x 10 values, so value 80 opens sage1.w_neigh
+            (lambda head, body: head + b"\n" + body[:640] + NAN + body[648:],
+             "non-finite values in sage1.w_neigh"),
+            # each block is checked before the next one is read, its length first
+            (lambda head, body: head + b"\n" + INF + body[8:-1],
+             "non-finite values in sage1.w_self"),
+            (lambda head, body: head + b"\n" + INF + body[8:100],
+             "truncated parameter block sage1.w_self"),
+        ],
+        ids=["header", "no-body", "short-body", "trailing", "nan", "inf-then-short",
+             "inf-in-short-block"],
+    )
+    def test_malformed_body_names_the_file_and_the_block(self, tmp_path, edit, message):
+        cfg = ModelConfig(n_classes=6, hidden_dim=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(cfg), cfg, str(path))
+        blob = path.read_bytes()
+        nl = blob.index(b"\n", len(CHECKPOINT_MAGIC))
+        path.write_bytes(edit(blob[:nl], blob[nl + 1:]))
+        with pytest.raises(CheckpointFormatError) as info:
+            load_checkpoint(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kw",

@@ -339,10 +339,12 @@ class TestAdam:
             assert state.params.tobytes() == p.tobytes()
 
 
-def reference_batch(graphs):
+def reference_batch(graphs, own_means=()):
     """The batch of ``graphs`` built from scratch over each raw edge list,
     without a store: one-hot inputs, edge means and the padded
-    mean-adjacency blocks."""
+    mean-adjacency blocks. A graph in ``own_means`` keeps its own edge
+    means: its edges were permuted after build_graph summed them, and
+    summing them again in the new order may round otherwise."""
     m = max(g.n_nodes for g in graphs)
     adj = np.zeros((len(graphs), m, m))
     xs, edge_means, slots, wts = [], [], [], []
@@ -357,7 +359,7 @@ def reference_batch(graphs):
         # one term at a time in edge order, as the store's bincount adds them
         edge_mean = np.zeros((g.n_nodes, 6))
         np.add.at(edge_mean, src, share[:, None] * normalize_edge_features(g.edge_features))
-        edge_means.append(edge_mean)
+        edge_means.append(g.edge_mean if g in own_means else edge_mean)
         slots.append(b * m + np.arange(g.n_nodes))
         wts.append(np.full(g.n_nodes, 1.0 / (g.n_nodes * len(graphs))))
     node_weights = np.concatenate(wts)
@@ -414,7 +416,7 @@ class TestPackedBatch:
         subsets += [[4], [7, 4], [3, 3], [9], [4, 9, 7], list(range(len(graphs)))]
         for ids in subsets:
             chosen = [graphs[i] for i in ids]
-            expected = reference_batch(chosen)
+            expected = reference_batch(chosen, own_means=[graphs[7]])
             names = BATCH_FIELDS[fields]
             assert_batches_identical(nn.make_batch(store, ids), expected, names)
             assert_batches_identical(nn.make_batch(chosen), expected, names)
