@@ -97,11 +97,7 @@ def _cmd_synth(args) -> dict:
         dropout_prob=args.dropout,
         seed=derive_seed(args.seed, "views"),
     )
-    dataset = dataio.FrameDataset(
-        n_classes=args.classes,
-        records=[dataio.FrameRecord(frame=f) for f in frames],
-    )
-    dataio.write_frames(args.out, dataset)
+    dataio.write_frames(args.out, dataio.FrameDataset(args.classes, frames))
     template_path = args.out + ".template.json"
     dataio.atomic_write_text(
         template_path,
@@ -129,19 +125,12 @@ def _cmd_corrupt(args) -> dict:
     cfg = CorruptionConfig(
         rho=args.rho, jitter_sigma=args.sigma, seed=derive_seed(args.seed, "corrupt")
     )
-    records = []
-    n_invalid = 0
-    for rec in dataset.records:
-        frame, validity, original = corrupt_frame(rec.frame, cfg, dataset.n_classes)
-        n_invalid += int((~validity).sum())
-        records.append(
-            dataio.FrameRecord(frame=frame, validity=validity, original_labels=original)
-        )
-    dataio.write_frames(args.out, dataio.FrameDataset(dataset.n_classes, records))
+    frames = [corrupt_frame(f, cfg, dataset.n_classes) for f in dataset.frames]
+    dataio.write_frames(args.out, dataio.FrameDataset(dataset.n_classes, frames))
     return {
         "command": "corrupt",
-        "frames": len(records),
-        "invalid_nodes": n_invalid,
+        "frames": len(frames),
+        "invalid_nodes": sum(int((~f.validity).sum()) for f in frames),
         "rho": args.rho,
         "out": args.out,
     }
@@ -191,13 +180,7 @@ def _cmd_eval(args) -> dict:
             f"dataset has n_classes={dataset.n_classes}, "
             f"checkpoint expects {ckpt.config.n_classes}"
         )
-    graphs = []
-    for rec in dataset.records:
-        g = build_graph(rec.frame, ckpt.config.k, dataset.n_classes)
-        if rec.validity is not None:
-            g.validity = rec.validity
-            g.original_labels = rec.original_labels
-        graphs.append(g)
+    graphs = [build_graph(f, ckpt.config.k, dataset.n_classes) for f in dataset.frames]
     report = evaluate_graphs(graphs, ckpt.params, ckpt.config)
     payload = report.to_jsonable()
     if args.out:

@@ -111,7 +111,7 @@ def simulate_detector(
     cc = CorruptionConfig(rho=rho_det, jitter_sigma=sigma_det, seed=seed)
     detections: list[Detection] = []
     for frame in frames:
-        noisy, _, _ = corrupt_frame(frame, cc, n_classes)
+        noisy = corrupt_frame(frame, cc, n_classes)
         conf_rng = np.random.default_rng(
             derive_seed(seed, f"detconf/{frame.frame_id}")
         )

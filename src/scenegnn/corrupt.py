@@ -41,15 +41,16 @@ def frame_rng(cfg: CorruptionConfig, frame_id: str) -> np.random.Generator:
     return np.random.default_rng(derive_seed(cfg.seed, f"corrupt/{frame_id}"))
 
 
-def corrupt_frame(
-    frame: Frame, cfg: CorruptionConfig, n_classes: int
-) -> tuple[Frame, np.ndarray, np.ndarray]:
-    """Corrupt up to rho objects; returns (frame, validity, original_labels).
+def corrupt_frame(frame: Frame, cfg: CorruptionConfig, n_classes: int) -> Frame:
+    """A copy of ``frame`` with up to rho objects corrupted, annotated with
+    each object's validity and the frame's labels as the original ones (the
+    frame's own annotation, if any, is not read).
 
     Draws from frame_rng(cfg, frame.frame_id) m ~ Uniform{1..min(rho, N)},
     picks m distinct objects, swaps each label to a different uniformly-drawn
     class and jitters the four corner coordinates with N(0, sigma^2) noise
-    (re-ordered and clamped to [0, 1]). rho = 0 is a no-op.
+    (re-ordered and clamped to [0, 1]). rho = 0 annotates every object valid
+    and changes nothing.
     """
     n = len(frame.labels)
     if n == 0:
@@ -60,7 +61,7 @@ def corrupt_frame(
     original = frame.labels  # read-only, so shared
     validity = np.ones(n, dtype=bool)
     if cfg.rho == 0:
-        return frame, validity, original
+        return Frame.from_arrays(frame.frame_id, frame.boxes, frame.labels, validity, original)
 
     rng = frame_rng(cfg, frame.frame_id)
     m = int(rng.integers(1, min(cfg.rho, n) + 1))
@@ -78,4 +79,4 @@ def corrupt_frame(
             boxes[i] = np.clip(np.sort((boxes[i] + noise).reshape(2, 2), axis=0).ravel(), 0.0, 1.0)
         validity[i] = False
 
-    return Frame.from_arrays(frame.frame_id, boxes, labels), validity, original
+    return Frame.from_arrays(frame.frame_id, boxes, labels, validity, original)

@@ -7,8 +7,6 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import BoundingBox
 from .metrics import Detection
 from .scenegraph import Frame
@@ -24,31 +22,25 @@ class FramesFileError(ValueError):
     """Malformed frames/detections file; message carries the line number."""
 
 
-@dataclass(eq=False)
-class FrameRecord:
-    frame: Frame
-    validity: np.ndarray | None = None  # per-object, True = unmodified
-    original_labels: np.ndarray | None = None
-
-
 @dataclass
 class FrameDataset:
     n_classes: int
-    records: list[FrameRecord]
-
-    @property
-    def frames(self) -> list[Frame]:
-        return [r.frame for r in self.records]
+    frames: list[Frame]
 
 
 def atomic_write_text(path: str, data: str | bytes) -> None:
     """Write ``data`` via a temp file in the target's directory and a rename,
     so interrupted runs never truncate; the temp file goes on any failure. A
-    new file gets the mode that ``open`` gives it, 0o666 less the umask."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.urandom(8).hex()}.tmp")
+    symlink is written through: the temp file and the rename go beside the
+    file it resolves to. An existing file keeps its mode; a new one gets the
+    mode that ``open`` gives it, 0o666 less the umask."""
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as f:
+            if os.path.exists(path):
+                os.fchmod(f.fileno(), os.stat(path).st_mode & 0o7777)
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -120,7 +112,7 @@ def _json_records(path: str) -> Iterator[tuple[int, dict]]:
 
 def parse_frames(path: str, strict: bool = False) -> FrameDataset:
     """Read a frames JSONL file (header record first); errors carry line numbers."""
-    records: list[FrameRecord] = []
+    frames: list[Frame] = []
     n_classes: int | None = None
     seen_ids: set[str] = set()
     for line_no, obj in _json_records(path):
@@ -137,13 +129,13 @@ def parse_frames(path: str, strict: bool = False) -> FrameDataset:
             continue
         if n_classes is None:
             raise FramesFileError(f"line {line_no}: missing header on line 1")
-        records.append(_parse_frame_line(obj, line_no, n_classes, strict, seen_ids))
+        frames.append(_parse_frame_line(obj, line_no, n_classes, strict, seen_ids))
     if n_classes is None:
         raise FramesFileError("empty file: missing header record")
-    return FrameDataset(n_classes=n_classes, records=records)
+    return FrameDataset(n_classes=n_classes, frames=frames)
 
 
-def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
+def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> Frame:
     if strict:
         extra = set(obj) - _FRAME_KEYS
         if extra:
@@ -159,11 +151,7 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
         raise FramesFileError(f"line {line_no}: duplicate frame_id {frame_id!r}")
     seen_ids.add(frame_id)
 
-    boxes: list[list[float]] = []
-    labels: list[int] = []
-    validity: list[bool] = []
-    original: list[int] = []
-    has_validity = False
+    boxes, labels, validity, original = [], [], [], []
     for o in raw_objects:
         if not isinstance(o, dict):
             raise FramesFileError(f"line {line_no}: each object must be a JSON object")
@@ -178,8 +166,6 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
             )
         boxes.append(_bbox_corners(o.get("bbox"), line_no))
         labels.append(class_id)
-        if "validity" in o or "original_label" in o:
-            has_validity = True
         valid = o.get("validity", True)
         if not isinstance(valid, bool):
             raise FramesFileError(
@@ -191,32 +177,24 @@ def _parse_frame_line(obj, line_no, n_classes, strict, seen_ids) -> FrameRecord:
             raise FramesFileError(f"line {line_no}: original_label {orig} out of range")
         original.append(orig)
 
+    annotated = any("validity" in o or "original_label" in o for o in raw_objects)
+    annotation = (validity, original) if annotated else ()
     try:
-        frame = Frame.from_arrays(frame_id, boxes, labels)
+        return Frame.from_arrays(frame_id, boxes, labels, *annotation)
     except ValueError as exc:
         raise FramesFileError(f"line {line_no}: invalid bbox: {exc}") from exc
-    return FrameRecord(
-        frame=frame,
-        validity=np.array(validity, dtype=bool) if has_validity else None,
-        original_labels=np.array(original, dtype=np.int64) if has_validity else None,
-    )
 
 
-def frames_to_jsonl(
-    dataset: FrameDataset,
-) -> str:
+def frames_to_jsonl(dataset: FrameDataset) -> str:
     lines = [
         json.dumps({"n_classes": dataset.n_classes, "format_version": FRAMES_FORMAT_VERSION})
     ]
-    for rec in dataset.records:
-        objs = []
-        frame = rec.frame
-        for i, (label, box) in enumerate(zip(frame.labels.tolist(), frame.boxes.tolist())):
-            entry = {"class_id": label, "bbox": box}
-            if rec.validity is not None:
-                entry["validity"] = bool(rec.validity[i])
-                entry["original_label"] = int(rec.original_labels[i])
-            objs.append(entry)
+    for frame in dataset.frames:
+        keys, columns = ["class_id", "bbox"], [frame.labels, frame.boxes]
+        if frame.validity is not None:
+            keys += ["validity", "original_label"]
+            columns += [frame.validity, frame.original_labels]
+        objs = [dict(zip(keys, values)) for values in zip(*(c.tolist() for c in columns))]
         lines.append(json.dumps({"frame_id": frame.frame_id, "objects": objs}))
     return "\n".join(lines) + "\n"
 

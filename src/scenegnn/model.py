@@ -224,7 +224,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: bad config: {exc}") from exc
 
-    template = init_model(config)
+    template = nn.zero_params(config.input_dim, config.hidden_dim, config.n_classes)
     items = param_items(template)
     tensors = header.get("tensors", [])
     if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):

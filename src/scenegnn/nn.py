@@ -70,28 +70,28 @@ def _glorot(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
-def init_params(
-    in_dim: int,
-    hidden_dim: int,
-    n_classes: int,
-    rng: np.random.Generator,
-) -> ModelParams:
-    """Each layer's ``w_neigh`` reads the neighbour mean of its input, then
-    the 6 columns of ``GraphBatch.edge_mean``."""
+def zero_params(in_dim: int, hidden_dim: int, n_classes: int) -> ModelParams:
+    """A model of zeros: the one table of the tensors' shapes. Each layer's
+    ``w_neigh`` reads the neighbour mean of its input, then the 6 columns of
+    ``GraphBatch.edge_mean``."""
+    h = hidden_dim
     return ModelParams(
-        sage1=SageLayer(
-            w_self=_glorot(rng, hidden_dim, in_dim),
-            w_neigh=_glorot(rng, hidden_dim, in_dim + 6),
-            bias=np.zeros(hidden_dim),
-        ),
-        sage2=SageLayer(
-            w_self=_glorot(rng, hidden_dim, hidden_dim),
-            w_neigh=_glorot(rng, hidden_dim, hidden_dim + 6),
-            bias=np.zeros(hidden_dim),
-        ),
-        valid_head=LinearHead(w=_glorot(rng, 1, hidden_dim), b=np.zeros(1)),
-        label_head=LinearHead(w=_glorot(rng, n_classes, hidden_dim), b=np.zeros(n_classes)),
+        sage1=SageLayer(np.zeros((h, in_dim)), np.zeros((h, in_dim + 6)), np.zeros(h)),
+        sage2=SageLayer(np.zeros((h, h)), np.zeros((h, h + 6)), np.zeros(h)),
+        valid_head=LinearHead(np.zeros((1, h)), np.zeros(1)),
+        label_head=LinearHead(np.zeros((n_classes, h)), np.zeros(n_classes)),
     )
+
+
+def init_params(
+    in_dim: int, hidden_dim: int, n_classes: int, rng: np.random.Generator
+) -> ModelParams:
+    """Zero biases and Glorot-uniform weights, drawn in param_items order."""
+    params = zero_params(in_dim, hidden_dim, n_classes)
+    for _, arr in param_items(params):
+        if arr.ndim == 2:
+            arr[...] = _glorot(rng, *arr.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,18 @@ class SceneObject:
     bbox: BoundingBox
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: itself when it already is
+    one that owns its data, else a copy."""
+    if (
+        type(values) is not np.ndarray or values.dtype != dtype
+        or values.flags.writeable or not values.flags.owndata
+    ):
+        values = np.array(values, dtype=dtype)
+        values.setflags(write=False)
+    return values
+
+
 def _check_boxes(boxes: np.ndarray) -> None:
     """Raise the ValueError that ``BoundingBox`` raises for the first row of
     the N x 4 corner array ``boxes`` that it rejects. One pass of array
@@ -41,7 +53,10 @@ def _check_boxes(boxes: np.ndarray) -> None:
 @dataclass(frozen=True, init=False, eq=False, slots=True)
 class Frame:
     """One view: ``boxes`` (N x 4 float64 corners x_min, y_min, x_max, y_max)
-    and ``labels`` (N int64 class ids), both read-only, in object order.
+    and ``labels`` (N int64 class ids), all read-only, in object order. An
+    annotated view also holds each object's ``validity`` (N bools, True =
+    its label is right) and ``original_labels`` (N int64 true labels); a
+    plain view holds None for both.
 
     ``Frame(frame_id, objects)`` converts a sequence of ``SceneObject``;
     ``Frame.from_arrays`` takes the arrays. Either way every box is checked
@@ -52,6 +67,8 @@ class Frame:
     frame_id: str
     boxes: np.ndarray
     labels: np.ndarray
+    validity: np.ndarray | None
+    original_labels: np.ndarray | None
 
     def __init__(self, frame_id: str, objects: Iterable[SceneObject]) -> None:
         objects = tuple(objects)
@@ -62,26 +79,40 @@ class Frame:
         )
 
     @classmethod
-    def from_arrays(cls, frame_id: str, boxes, labels) -> Frame:
-        """A frame holding copies of ``boxes`` (N x 4) and ``labels`` (N)."""
+    def from_arrays(
+        cls, frame_id: str, boxes, labels, validity=None, original_labels=None
+    ) -> Frame:
+        """A frame of ``boxes`` (N x 4) and ``labels`` (N), annotated when
+        ``validity`` and ``original_labels`` (N each) are given, both or
+        neither. A read-only array of the right dtype that owns its data is
+        shared, since no frame writes it; anything else is copied."""
         frame = cls.__new__(cls)
-        frame._set(frame_id, boxes, labels)
+        frame._set(frame_id, boxes, labels, validity, original_labels)
         return frame
 
-    def _set(self, frame_id: str, boxes, labels) -> None:
-        boxes = np.array(boxes, dtype=np.float64)
-        labels = np.array(labels, dtype=np.int64)
+    def _set(self, frame_id: str, boxes, labels, validity=None, original_labels=None) -> None:
+        boxes, labels = _frozen(boxes, np.float64), _frozen(labels, np.int64)
         if boxes.size == 0:
             boxes = boxes.reshape(0, 4)
         if boxes.ndim != 2 or boxes.shape[1] != 4 or labels.shape != (len(boxes),):
             raise ValueError(
                 f"expected N x 4 boxes and N labels, got shapes {boxes.shape} and {labels.shape}"
             )
+        if (validity is None) != (original_labels is None):
+            raise ValueError("validity and original_labels are given together or not at all")
+        if validity is not None:
+            validity, original_labels = _frozen(validity, bool), _frozen(original_labels, np.int64)
+            if not validity.shape == original_labels.shape == labels.shape:
+                raise ValueError(
+                    f"expected {len(labels)} validity flags and original labels, "
+                    f"got shapes {validity.shape} and {original_labels.shape}"
+                )
         _check_boxes(boxes)
-        boxes.flags.writeable = labels.flags.writeable = False
         object.__setattr__(self, "frame_id", frame_id)
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "validity", validity)
+        object.__setattr__(self, "original_labels", original_labels)
 
     @property
     def objects(self) -> tuple[SceneObject, ...]:
@@ -93,10 +124,10 @@ class Frame:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Frame):
             return NotImplemented
-        return (
-            self.frame_id == other.frame_id
-            and np.array_equal(self.boxes, other.boxes)
-            and np.array_equal(self.labels, other.labels)
+        return self.frame_id == other.frame_id and all(
+            # an absent annotation (None) equals only an absent one
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("boxes", "labels", "validity", "original_labels")
         )
 
     def __hash__(self) -> int:
@@ -202,15 +233,17 @@ def edge_geometry(boxes: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
     """k-NN edges and each node's mean out-edge geometry, read from the
-    frame's arrays, which the graph shares."""
+    frame's arrays, which the graph shares. A plain frame's nodes are all
+    valid, with their own labels as the original ones."""
     labels = frame.labels
     if len(labels) == 0:
         raise ValueError(f"frame {frame.frame_id!r} has no objects")
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
-    out_of_range = labels[(labels < 0) | (labels >= n_classes)]
-    if out_of_range.size:
-        raise ValueError(f"label_id {out_of_range[0]} out of range for {n_classes} classes")
+    for name, values in (("label_id", labels), ("original_label", frame.original_labels)):
+        out_of_range = () if values is None else values[(values < 0) | (values >= n_classes)]
+        if len(out_of_range):
+            raise ValueError(f"{name} {out_of_range[0]} out of range for {n_classes} classes")
     boxes, n = frame.boxes, len(labels)
     edges = knn_edges((boxes[:, :2] + boxes[:, 2:]) / 2.0, k)
     edge_features, src = edge_geometry(boxes, edges), edges[:, 0]
@@ -225,8 +258,8 @@ def build_graph(frame: Frame, k: KOrAll, n_classes: int) -> SceneGraph:
         edges=edges,
         edge_mean=edge_mean,
         boxes=boxes,
-        validity=np.ones(n, dtype=bool),
-        original_labels=labels,
+        validity=np.ones(n, dtype=bool) if frame.validity is None else frame.validity,
+        original_labels=labels if frame.original_labels is None else frame.original_labels,
         current_labels=labels,
         n_classes=n_classes,
     )

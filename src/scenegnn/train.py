@@ -39,7 +39,8 @@ def split_dataset(
 def build_dataset(
     frames: list[Frame], config: ModelConfig, seed: int
 ) -> list[SceneGraph]:
-    """One clean graph plus one corrupted twin per frame (1:1).
+    """One clean graph plus one corrupted twin per frame (1:1). Each frame's
+    labels are taken as right; its annotation, if any, is not read.
 
     Corruption happens after splitting, so a frame's twin can never leak
     across splits.
@@ -47,13 +48,10 @@ def build_dataset(
     cc = CorruptionConfig(rho=config.rho, seed=seed)
     graphs: list[SceneGraph] = []
     for frame in frames:
-        clean = build_graph(frame, config.k, config.n_classes)
-        graphs.append(clean)
-        bad, validity, original = corrupt_frame(frame, cc, config.n_classes)
-        g = build_graph(bad, config.k, config.n_classes)
-        g.validity = validity
-        g.original_labels = original
-        graphs.append(g)
+        clean = Frame.from_arrays(frame.frame_id, frame.boxes, frame.labels)
+        graphs.append(build_graph(clean, config.k, config.n_classes))
+        twin = corrupt_frame(frame, cc, config.n_classes)
+        graphs.append(build_graph(twin, config.k, config.n_classes))
     return graphs
 
 

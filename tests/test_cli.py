@@ -21,7 +21,7 @@ from scenegnn.geometry import BoundingBox
 from scenegnn.metrics import Detection
 from scenegnn.model import CHECKPOINT_MAGIC, ModelConfig, init_model, save_checkpoint
 from scenegnn.scenegraph import Frame, SceneObject
-from scenegnn.dataio import FrameDataset, FrameRecord
+from scenegnn.dataio import FrameDataset
 
 
 def _run(capsys, argv):
@@ -42,7 +42,7 @@ def _small_gt(path):
         )
         for i in range(3)
     ]
-    write_frames(path, FrameDataset(3, [FrameRecord(frame=f) for f in frames]))
+    write_frames(path, FrameDataset(3, frames))
     return frames
 
 
@@ -385,6 +385,21 @@ class TestOutputFiles:
         for name in names:
             assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644, name
 
+    def test_rewritten_output_keeps_its_mode_and_its_symlink(self, capsys, tmp_path):
+        data, link = tmp_path / "data.jsonl", tmp_path / "link.jsonl"
+        synth = ["synth", "--classes", "4", "--frames", "12", "--out"]
+        code, _, err = _run(capsys, [*synth, str(data)])
+        assert code == EXIT_OK, err
+        os.chmod(data, 0o600)
+        link.symlink_to(data)
+        code, _, err = _run(capsys, ["--seed", "1", *synth, str(link)])
+        assert code == EXIT_OK, err
+        assert link.is_symlink() and os.readlink(link) == str(data)
+        assert stat.S_IMODE(os.stat(data).st_mode) == 0o600
+        code, _, err = _run(capsys, ["--seed", "1", *synth, str(tmp_path / "fresh.jsonl")])
+        assert code == EXIT_OK, err
+        assert data.read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
     @pytest.mark.parametrize(
         "command, flag", [("train", "--data"), ("train", "--out"), ("synth", "--out")]
     )
@@ -422,6 +437,24 @@ class TestCorruptCommand:
         assert "error: frame 'b' has no objects" in err
         assert not out_path.exists()
 
+
+    def test_rho_zero_writes_an_all_valid_annotation(self, capsys, tmp_path):
+        data = tmp_path / "data.jsonl"
+        code, _, err = _run(capsys, ["synth", "--classes", "4", "--frames", "5", "--out", str(data)])
+        assert code == EXIT_OK, err
+        out_path = tmp_path / "corrupt.jsonl"
+        argv = ["corrupt", "--data", str(data), "--rho", "0", "--out", str(out_path)]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["invalid_nodes"] == 0
+        clean = [json.loads(line) for line in data.read_text().splitlines()]
+        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert rows[0] == clean[0] and len(rows) == len(clean) == 6
+        for row, frame in zip(rows[1:], clean[1:]):
+            assert row["frame_id"] == frame["frame_id"]
+            assert row["objects"] == [
+                {**o, "validity": True, "original_label": o["class_id"]} for o in frame["objects"]
+            ]
 
     @pytest.mark.parametrize("sigma", ["inf", "nan"])
     def test_non_finite_sigma_exits_1(self, capsys, tmp_path, sigma):
@@ -599,9 +632,9 @@ class TestFullPipeline:
         # detections = the corrupted frames with constant confidence
         ds = parse_frames(corrupted)
         dets = [
-            Detection(r.frame.frame_id, o.label_id, o.bbox, 0.9)
-            for r in ds.records
-            for o in r.frame.objects
+            Detection(f.frame_id, o.label_id, o.bbox, 0.9)
+            for f in ds.frames
+            for o in f.objects
         ]
         det_path = str(tmp_path / "dets.jsonl")
         write_detections(det_path, dets)

@@ -45,16 +45,18 @@ def scalar_corrupt_frame(frame, cfg, n_classes):
 def test_rho_zero_is_noop():
     frame = make_frame(5)
     cfg = CorruptionConfig(rho=0, jitter_sigma=0.05, seed=1)
-    out, validity, original = corrupt_frame(frame, cfg, 10)
-    assert out is frame
-    assert validity.all()
-    assert np.array_equal(original, [o.label_id for o in frame.objects])
+    out = corrupt_frame(frame, cfg, 10)
+    annotated = Frame.from_arrays("frame_0", frame.boxes, frame.labels, [True] * 5, frame.labels)
+    assert out == annotated
+    assert out.boxes is frame.boxes and out.labels is frame.labels  # read-only, so shared
+    assert out.validity.all() and out.original_labels is frame.labels
 
 
 def test_rho_one_zero_jitter():
     frame = make_frame(6)
     cfg = CorruptionConfig(rho=1, jitter_sigma=0.0, seed=2)
-    out, validity, original = corrupt_frame(frame, cfg, 10)
+    out = corrupt_frame(frame, cfg, 10)
+    validity, original = out.validity, out.original_labels
     assert (~validity).sum() == 1
     i = int(np.where(~validity)[0][0])
     assert out.objects[i].label_id != frame.objects[i].label_id
@@ -67,7 +69,8 @@ def test_rho_exceeding_frame_size():
     counts = set()
     for trial in range(10_000):
         cfg = CorruptionConfig(rho=5, jitter_sigma=0.0, seed=trial)
-        _, validity, _ = corrupt_frame(frame, cfg, 10)
+        out = corrupt_frame(frame, cfg, 10)
+        validity = out.validity
         m = int((~validity).sum())
         assert 1 <= m <= 3
         counts.add(m)
@@ -78,7 +81,8 @@ def test_swapped_label_never_equals_original():
     frame = make_frame(8, n_classes=3)
     for trial in range(500):
         cfg = CorruptionConfig(rho=4, jitter_sigma=0.02, seed=trial)
-        out, validity, original = corrupt_frame(frame, cfg, 3)
+        out = corrupt_frame(frame, cfg, 3)
+        validity, original = out.validity, out.original_labels
         for i in np.where(~validity)[0]:
             assert out.objects[i].label_id != original[i]
             assert 0 <= out.objects[i].label_id < 3
@@ -89,17 +93,16 @@ def test_swapped_label_never_equals_original():
 def test_determinism():
     frame = make_frame(7)
     cfg = CorruptionConfig(rho=3, jitter_sigma=0.05, seed=42)
-    a, va, oa = corrupt_frame(frame, cfg, 10)
-    b, vb, ob = corrupt_frame(frame, cfg, 10)
-    assert a == b
-    assert np.array_equal(va, vb) and np.array_equal(oa, ob)
+    a = corrupt_frame(frame, cfg, 10)
+    b = corrupt_frame(frame, cfg, 10)
+    assert a == b  # annotation included
 
 
 def test_jittered_boxes_stay_valid():
     frame = make_frame(6)
     for trial in range(200):
         cfg = CorruptionConfig(rho=6, jitter_sigma=0.5, seed=trial)
-        out, _, _ = corrupt_frame(frame, cfg, 10)
+        out = corrupt_frame(frame, cfg, 10)
         for o in out.objects:
             assert 0.0 <= o.bbox.x_min <= o.bbox.x_max <= 1.0
             assert 0.0 <= o.bbox.y_min <= o.bbox.y_max <= 1.0
@@ -109,10 +112,12 @@ def test_input_frame_bytes_unchanged():
     frame = make_frame(8)
     boxes, labels = frame.boxes.tobytes(), frame.labels.tobytes()
     cfg = CorruptionConfig(rho=5, jitter_sigma=0.05, seed=2)
-    out, validity, original = corrupt_frame(frame, cfg, 10)
+    out = corrupt_frame(frame, cfg, 10)
+    validity, original = out.validity, out.original_labels
     assert (~validity).any() and out.boxes.tobytes() != boxes
     assert frame.boxes.tobytes() == boxes and frame.labels.tobytes() == labels
     assert original is frame.labels and not original.flags.writeable  # shared, not copied
+    assert not validity.flags.writeable
 
 
 def test_empty_frame_rejected():
@@ -151,7 +156,8 @@ def test_values_of_another_kind_rejected(field, value, message):
 
 def test_numpy_scalars_accepted():
     cfg = CorruptionConfig(rho=np.int64(2), jitter_sigma=np.float32(0.0), seed=np.uint64(5))
-    out, validity, _ = corrupt_frame(make_frame(4), cfg, 10)
+    out = corrupt_frame(make_frame(4), cfg, 10)
+    validity = out.validity
     assert (~validity).sum() in (1, 2)
 
 
@@ -170,7 +176,8 @@ def test_matches_scalar_oracle(sigma):
         frame = make_frame(6, seed=trial)
         frame = Frame.from_arrays(f"frame_{trial}", frame.boxes, frame.labels)
         cfg = CorruptionConfig(rho=4, jitter_sigma=sigma, seed=trial % 7)
-        out, validity, original = corrupt_frame(frame, cfg, 10)
+        out = corrupt_frame(frame, cfg, 10)
+        validity, original = out.validity, out.original_labels
         ref, ref_validity = scalar_corrupt_frame(frame, cfg, 10)
         assert out.boxes.tobytes() == ref.boxes.tobytes()
         assert out.labels.tobytes() == ref.labels.tobytes()

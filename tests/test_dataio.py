@@ -11,7 +11,6 @@ import pytest
 
 from scenegnn.dataio import (
     FrameDataset,
-    FrameRecord,
     FramesFileError,
     atomic_write_text,
     parse_detections,
@@ -35,7 +34,7 @@ def _dataset() -> FrameDataset:
         ),
         Frame("b", (SceneObject(1, BoundingBox(0.0, 0.0, 1.0, 1.0)),)),
     ]
-    return FrameDataset(n_classes=3, records=[FrameRecord(frame=f) for f in frames])
+    return FrameDataset(n_classes=3, frames=frames)
 
 
 class TestFramesRoundTrip:
@@ -45,20 +44,19 @@ class TestFramesRoundTrip:
         back = parse_frames(path)
         assert back.n_classes == 3
         assert [f.frame_id for f in back.frames] == ["a", "b"]
-        orig = _dataset()
-        for ra, rb in zip(orig.records, back.records):
-            assert ra.frame == rb.frame
+        assert back.frames == _dataset().frames
 
     def test_round_trip_with_validity(self, tmp_path):
         path = str(tmp_path / "frames.jsonl")
         ds = _dataset()
-        ds.records[0].validity = np.array([True, False])
-        ds.records[0].original_labels = np.array([0, 1], dtype=np.int64)
+        a = ds.frames[0]
+        ds.frames[0] = Frame.from_arrays("a", a.boxes, a.labels, [True, False], [0, 1])
         write_frames(path, ds)
         back = parse_frames(path)
-        np.testing.assert_array_equal(back.records[0].validity, [True, False])
-        np.testing.assert_array_equal(back.records[0].original_labels, [0, 1])
-        assert back.records[1].validity is None
+        np.testing.assert_array_equal(back.frames[0].validity, [True, False])
+        np.testing.assert_array_equal(back.frames[0].original_labels, [0, 1])
+        assert back.frames[1].validity is None and back.frames[1].original_labels is None
+        assert back.frames == ds.frames
 
     def test_detections_round_trip(self, tmp_path):
         path = str(tmp_path / "dets.jsonl")
@@ -95,7 +93,7 @@ class TestFramesValidation:
     def test_header_only_gives_empty_dataset(self, tmp_path):
         path = self._write(tmp_path, ['{"n_classes": 5, "format_version": 1}'])
         ds = parse_frames(path)
-        assert ds.n_classes == 5 and ds.records == []
+        assert ds.n_classes == 5 and ds.frames == []
 
     def test_wrong_format_version(self, tmp_path):
         path = self._write(tmp_path, ['{"n_classes": 5, "format_version": 99}'])
@@ -233,10 +231,10 @@ class TestFramesValidation:
             ' "validity": false, "original_label": 1}]}'
         )
         path = self._write(tmp_path, ['{"n_classes": 3, "format_version": 1}', row])
-        rec = parse_frames(path).records[0]
-        assert rec.frame.objects[0].label_id == 2
-        assert type(rec.frame.objects[0].label_id) is int
-        assert rec.validity.tolist() == [False] and rec.original_labels.tolist() == [1]
+        frame = parse_frames(path).frames[0]
+        assert frame.objects[0].label_id == 2
+        assert type(frame.objects[0].label_id) is int
+        assert frame.validity.tolist() == [False] and frame.original_labels.tolist() == [1]
 
     @pytest.mark.parametrize("n_classes", ['"x"', "[3]", "null", "39.7", '"39"', "true"])
     def test_bad_header_n_classes_reports_line_1(self, tmp_path, n_classes):
@@ -271,7 +269,7 @@ class TestFramesValidation:
                 '{"frame_id": "a", "objects": []}',
             ],
         )
-        assert len(parse_frames(path).records) == 1
+        assert len(parse_frames(path).frames) == 1
 
 
 class TestAtomicWrite:
@@ -317,6 +315,43 @@ class TestAtomicWrite:
         mode = "rb" if isinstance(data, bytes) else "r"
         with open(tmp_path / "x", mode) as f:
             assert f.read() == data
+
+    def test_rewrite_keeps_the_files_mode(self, tmp_path):
+        path = tmp_path / "x"
+        atomic_write_text(str(path), "old\n")
+        os.chmod(path, 0o600)
+        atomic_write_text(str(path), b"new\n")
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600 and path.read_text() == "new\n"
+
+    def test_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "t").mkdir()
+        (tmp_path / "l").mkdir()
+        target, link = tmp_path / "t" / "x", tmp_path / "l" / "x.jsonl"
+        target.write_text("old\n")
+        os.chmod(target, 0o640)
+        link.symlink_to(target)
+        atomic_write_text(str(link), "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "new\n" and stat.S_IMODE(os.stat(target).st_mode) == 0o640
+        assert os.listdir(tmp_path / "t") == ["x"] and os.listdir(tmp_path / "l") == ["x.jsonl"]
+
+    def test_failed_replace_through_a_symlink_leaves_the_target(self, tmp_path, monkeypatch):
+        (tmp_path / "t").mkdir()
+        target, link = tmp_path / "t" / "x", tmp_path / "x.jsonl"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        sources = []
+
+        def failing_replace(src, dst):
+            sources.append((os.path.dirname(src), dst))
+            raise OSError("no room")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no room"):
+            atomic_write_text(str(link), "new\n")
+        assert sources == [(str(tmp_path / "t"), str(target))]
+        assert os.listdir(tmp_path / "t") == ["x"] and target.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["t", "x.jsonl"]
 
     def test_failed_replace_removes_the_temp_file_beside_the_target(self, tmp_path, monkeypatch):
         sources = []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from scenegnn import nn
-from scenegnn.dataio import FrameRecord
 from scenegnn.geometry import BoundingBox
 from scenegnn.metrics import evaluate_graphs
 from scenegnn.model import (
@@ -323,6 +322,35 @@ class TestCheckpoint:
         with pytest.raises(ConfigMismatchError):
             predict([fixed_graph(n_classes=10)], ckpt.params, ckpt.config)
 
+    def test_load_makes_no_random_draws(self, tmp_path, monkeypatch):
+        cfg = ModelConfig(n_classes=5, hidden_dim=3)
+        params, path = init_model(cfg), str(tmp_path / "m.ckpt")
+        save_checkpoint(params, cfg, path)
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew weights")
+
+        monkeypatch.setattr(nn, "_glorot", no_draw)
+        loaded = load_checkpoint(path).params
+        for (name, a), (_, b) in zip(nn.param_items(params), nn.param_items(loaded)):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_init_draws_each_weight_in_turn(self):
+        # the draws of the explicit initialiser, in its order: sage1, sage2,
+        # validity head, label head; biases are zero
+        in_dim, hidden, n_classes = 7, 4, 3
+        params = nn.init_params(in_dim, hidden, n_classes, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        weights = [(hidden, in_dim), (hidden, in_dim + 6), (hidden, hidden), (hidden, hidden + 6),
+                   (1, hidden), (n_classes, hidden)]
+        limits = [np.sqrt(6.0 / sum(shape)) for shape in weights]
+        expected = [rng.uniform(-lim, lim, size=shape) for lim, shape in zip(limits, weights)]
+        items = nn.param_items(params)
+        assert [a.tobytes() for _, a in items if a.ndim == 2] == [e.tobytes() for e in expected]
+        biases = [a for _, a in items if a.ndim == 1]
+        assert [a.shape for a in biases] == [(hidden,), (hidden,), (1,), (n_classes,)]
+        assert not any(a.any() for a in biases)
+
 
 # the three options that checkpoints written before their removal record, at
 # the values those checkpoints were trained with
@@ -568,7 +596,6 @@ class TestArrayHolders:
     ARRAY_HOLDERS = {
         "LayoutTemplate", "SceneGraph", "GraphBatch", "ForwardCache", "SageLayer", "LinearHead",
         "ModelParams", "AdamState", "Prediction", "Checkpoint", "LabelMetrics", "EvalReport",
-        "FrameRecord",
     }
 
     @staticmethod
@@ -584,7 +611,6 @@ class TestArrayHolders:
             gen_template(5, 0), g, batch, nn.full_forward(params, batch), params.sage1,
             params.valid_head, params, nn.AdamState.for_params(init_model(cfg), cfg.lr),
             predict([g], params, cfg), Checkpoint(cfg, params), report.label, report,
-            FrameRecord(Frame.from_arrays("f", g.boxes, g.current_labels), g.validity, g.original_labels),
         ]
 
     def test_compare_and_hash_by_identity(self):

@@ -171,6 +171,40 @@ class TestFrameArrays:
         with pytest.raises(ValueError, match="expected N x 4 boxes and N labels"):
             Frame.from_arrays("f", boxes, labels)
 
+    def test_annotation_comes_whole_and_at_length(self):
+        rows, labels = [[0.1, 0.1, 0.2, 0.2], [0.3, 0.3, 0.5, 0.6]], [4, 2]
+        for annotation in ({"validity": [True, False]}, {"original_labels": [4, 2]}):
+            with pytest.raises(ValueError, match="given together or not at all"):
+                Frame.from_arrays("f", rows, labels, **annotation)
+        for validity, original in (([True], [4, 2]), ([True, False], [4, 2, 1]), ([], [])):
+            with pytest.raises(ValueError, match="expected 2 validity flags and original labels"):
+                Frame.from_arrays("f", rows, labels, validity, original)
+
+    def test_annotation_is_read_only_and_compared(self):
+        rows, labels = [[0.1, 0.1, 0.2, 0.2], [0.3, 0.3, 0.5, 0.6]], [4, 2]
+        plain = Frame.from_arrays("f", rows, labels)
+        assert plain.validity is None and plain.original_labels is None
+        validity, original = np.array([True, False]), np.array([4, 1])
+        frame = Frame.from_arrays("f", rows, labels, validity, original)
+        for arr in (frame.validity, frame.original_labels):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+        validity[0], original[0] = False, 0  # the frame holds copies
+        assert frame.validity.tolist() == [True, False] and frame.original_labels.tolist() == [4, 1]
+        assert frame.validity.dtype == bool and frame.original_labels.dtype == np.int64
+        assert frame == Frame.from_arrays("f", rows, labels, [True, False], [4, 1])
+        assert frame != plain and plain != frame
+        assert frame != Frame.from_arrays("f", rows, labels, [True, True], [4, 1])
+        assert frame != Frame.from_arrays("f", rows, labels, [True, False], [4, 2])
+
+    def test_read_only_arrays_that_own_their_data_are_shared(self):
+        frame = Frame.from_arrays("f", [[0.1, 0.1, 0.2, 0.2], [0.3, 0.3, 0.5, 0.6]], [4, 2])
+        twin = Frame.from_arrays("g", frame.boxes, frame.labels, [True, True], frame.labels)
+        assert twin.boxes is frame.boxes and twin.labels is frame.labels
+        assert twin.original_labels is frame.labels
+        view = frame.labels[::-1]  # read-only, but a view of another array's data
+        assert Frame.from_arrays("h", frame.boxes, view).labels is not view
+
     def test_empty_frame(self):
         frame = Frame("e", ())
         assert frame.boxes.shape == (0, 4) and frame.labels.shape == (0,)
@@ -268,6 +302,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=f"label_id {label} out of range for 10 classes"):
             build_graph(frame, 5, 10)
 
+    @pytest.mark.parametrize("original", [-1, 10])
+    def test_rejects_out_of_range_original_label(self, original):
+        plain = Frame("f", (point_obj(2, 0.2, 0.2), point_obj(3, 0.7, 0.7)))
+        frame = Frame.from_arrays("f", plain.boxes, plain.labels, [True, False], [2, original])
+        match = f"original_label {original} out of range for 10 classes"
+        with pytest.raises(ValueError, match=match):
+            build_graph(frame, 5, 10)
+
     @pytest.mark.parametrize("n_classes", [1, 0])
     def test_rejects_fewer_than_two_classes(self, n_classes):
         frame = Frame("f", (point_obj(0, 0.2, 0.2), point_obj(0, 0.7, 0.7)))
@@ -326,6 +368,13 @@ class TestBuildGraph:
         assert g.boxes is frame.boxes
         assert g.current_labels is frame.labels and g.original_labels is frame.labels
         assert not g.current_labels.flags.writeable
+
+    def test_graph_shares_an_annotated_frames_arrays(self):
+        plain = Frame("f", (point_obj(1, 0.2, 0.2), point_obj(3, 0.7, 0.7)))
+        frame = Frame.from_arrays("f", plain.boxes, plain.labels, [True, False], [1, 2])
+        g = build_graph(frame, 5, 10)
+        assert g.boxes is frame.boxes and g.current_labels is frame.labels
+        assert g.validity is frame.validity and g.original_labels is frame.original_labels
 
     def test_two_object_frame(self):
         frame = Frame("f", (point_obj(1, 0.2, 0.2), point_obj(3, 0.7, 0.7)))

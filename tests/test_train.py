@@ -85,6 +85,27 @@ class TestBuildDataset:
             np.testing.assert_array_equal(changed, ~bad.validity)
 
 
+    def test_graphs_share_the_frames_labels(self):
+        frames = _frames(4)
+        graphs = build_dataset(frames, ModelConfig(n_classes=6, rho=1), seed=3)
+        for frame, clean, bad in zip(frames, graphs[0::2], graphs[1::2]):
+            assert clean.boxes is frame.boxes and clean.current_labels is frame.labels
+            assert clean.original_labels is frame.labels and bad.original_labels is frame.labels
+
+    def test_a_frames_annotation_is_not_read(self):
+        frames = _frames(4)
+        annotated = [
+            Frame.from_arrays(
+                f.frame_id, f.boxes, f.labels, np.zeros(len(f.labels), bool), (f.labels + 1) % 6
+            )
+            for f in frames
+        ]
+        cfg = ModelConfig(n_classes=6, rho=1)
+        for a, b in zip(build_dataset(frames, cfg, seed=3), build_dataset(annotated, cfg, seed=3)):
+            for name in ("edges", "edge_mean", "boxes", "validity", "original_labels", "current_labels"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 class TestTrain:
     def _small_config(self, **kw) -> ModelConfig:
         base = dict(
