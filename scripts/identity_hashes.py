@@ -5,12 +5,12 @@
 
 It runs the `scripts/run_pipeline.py` settings (39 classes, 2000 views, k=5,
 rho=3, 30 epochs) at each seed and prints the hash of the rendered frames
-(boxes and labels), the training graphs (edges as int64, edge and node
-features), the final and best parameters, the training history, the file
-that save_checkpoint writes for the best parameters, the test EvalReport,
-mAP@50 before correction, and the corrected labels, correction records and
-mAP@50 after correction at k=5 and k="all". Run it in two checkouts and diff
-the outputs to check that a change keeps every byte.
+(boxes and labels), the training graphs (edges as int64, edge features, edge
+means and node features), the final and best parameters, the training
+history, the file that save_checkpoint writes for the best parameters, the
+test EvalReport, mAP@50 before correction, and the corrected labels,
+correction records and mAP@50 after correction at k=5 and k="all". Run it in
+two checkouts and diff the outputs to check that a change keeps every byte.
 Standard library and numpy only.
 """
 
@@ -65,6 +65,7 @@ def graphs_hash(graphs) -> str:
     return sha(b"".join(
         g.edges.astype("<i8").tobytes()
         + g.edge_features.astype("<f8").tobytes()
+        + g.edge_mean.astype("<f8").tobytes()
         + g.node_features.astype("<f8").tobytes()
         for g in graphs
     ))
