@@ -17,8 +17,8 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .nn import NumericalError
-from .scenegraph import ALL_NEIGHBORS, build_graph
+from .nn import NumericalError, PackedGraphs
+from .scenegraph import ALL_NEIGHBORS, Frame, build_graph
 from .synth import gen_template, render_views
 from .train import build_dataset, split_dataset, train as run_training
 
@@ -125,7 +125,7 @@ def _cmd_corrupt(args) -> dict:
     cfg = CorruptionConfig(
         rho=args.rho, jitter_sigma=args.sigma, seed=derive_seed(args.seed, "corrupt")
     )
-    frames = [corrupt_frame(f, cfg, dataset.n_classes) for f in dataset.frames]
+    frames = [_corrupt_annotated(f, cfg, dataset.n_classes) for f in dataset.frames]
     dataio.write_frames(args.out, dataio.FrameDataset(dataset.n_classes, frames))
     return {
         "command": "corrupt",
@@ -134,6 +134,16 @@ def _cmd_corrupt(args) -> dict:
         "rho": args.rho,
         "out": args.out,
     }
+
+
+def _corrupt_annotated(frame: Frame, cfg: CorruptionConfig, n_classes: int) -> Frame:
+    """``corrupt_frame`` of ``frame``, annotated against the frame's own
+    original labels when it has them, else against its labels: a label is
+    valid exactly when it equals its original one, so an object that an
+    annotated input marks wrong stays wrong unless corruption restores it."""
+    out = corrupt_frame(frame, cfg, n_classes)
+    original = frame.labels if frame.original_labels is None else frame.original_labels
+    return Frame.from_arrays(frame.frame_id, out.boxes, out.labels, out.labels == original, original)
 
 
 def _cmd_train(args) -> dict:
@@ -180,7 +190,11 @@ def _cmd_eval(args) -> dict:
             f"dataset has n_classes={dataset.n_classes}, "
             f"checkpoint expects {ckpt.config.n_classes}"
         )
-    graphs = [build_graph(f, ckpt.config.k, dataset.n_classes) for f in dataset.frames]
+    graphs = PackedGraphs.build(
+        (build_graph(f, ckpt.config.k, dataset.n_classes) for f in dataset.frames),
+        [len(f.labels) for f in dataset.frames],
+        dataset.n_classes,
+    )
     report = evaluate_graphs(graphs, ckpt.params, ckpt.config)
     payload = report.to_jsonable()
     if args.out:

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundingBox, iou_corners
-from .model import ModelConfig, predict
-from .nn import ModelParams
+from .model import ModelConfig, packed, predict
+from .nn import ModelParams, PackedGraphs
 from .scenegraph import Frame, SceneGraph
 
 
@@ -189,19 +189,19 @@ class EvalReport:
 
 
 def evaluate_graphs(
-    graphs: list[SceneGraph], params: ModelParams, config: ModelConfig
+    graphs: PackedGraphs | list[SceneGraph], params: ModelParams, config: ModelConfig
 ) -> EvalReport:
-    """Node-level report over a set of graphs with validity ground truth.
+    """Node-level report over a set of graphs with validity ground truth; a
+    list is packed first.
 
     Label metrics follow the predicted-invalid mask: corrected labels are
     scored against original labels for nodes the model flags as invalid.
     """
-    p = predict(graphs, params, config)
-    gt_valid = np.concatenate([g.validity for g in graphs])
-    original = np.concatenate([g.original_labels for g in graphs])
-    lm = label_metrics(p.corrected_label, original, p.is_invalid, config.n_classes)
+    store = packed(graphs, config)
+    p = predict(store, params, config)
+    lm = label_metrics(p.corrected_label, store.original_labels, p.is_invalid, config.n_classes)
     return EvalReport(
-        validity_accuracy=validity_accuracy(~p.is_invalid, gt_valid),
+        validity_accuracy=validity_accuracy(~p.is_invalid, store.validity),
         label=lm,
-        n_nodes=int(gt_valid.size),
+        n_nodes=int(store.validity.size),
     )

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
@@ -20,8 +21,12 @@ CHECKPOINT_VERSION = 1
 # the cap, peak memory rose by 20-50 MB when correcting 600 small frames or
 # six 234-detection frames in one call. At 256 a 234-detection frame is still
 # one batch of its own, and one desk validation pass (5,700 nodes) runs in 23
-# batches and about 30 ms (at 64: 96 batches, about 42 ms).
+# batches and about 30 ms (at 64: 96 batches, about 42 ms). Validation
+# gathers those batches from the store that build_dataset filled, and packs
+# nothing.
 PREDICT_CHUNK_NODES = 256
+
+T = TypeVar("T")
 
 
 class CheckpointError(Exception):
@@ -101,35 +106,53 @@ class Prediction:
     validity_prob: np.ndarray
 
 
-def chunked(graphs: Iterable[SceneGraph]) -> Iterator[list[SceneGraph]]:
-    """Consecutive runs of ``graphs``, drawn one at a time, whose nodes add
-    up to at most PREDICT_CHUNK_NODES; a larger graph is a run of its own."""
+def packed(graphs: nn.PackedGraphs | list[SceneGraph], config: ModelConfig) -> nn.PackedGraphs:
+    """``graphs`` as one store, checked against ``config``: a store as it
+    is, a list packed after each of its graphs is checked."""
+    if isinstance(graphs, nn.PackedGraphs):
+        _check_compatible(graphs.n_classes, config)
+        return graphs
+    return nn.PackedGraphs(_checked(graphs, config))
+
+
+def chunked(items: Iterable[T], size: Callable[[T], int] = lambda g: g.n_nodes) -> Iterator[list[T]]:
+    """Consecutive runs of ``items`` (graphs, by default), drawn one at a
+    time, whose ``size`` adds up to at most PREDICT_CHUNK_NODES nodes; a
+    larger item is a run of its own."""
     chunk, total = [], 0
-    for g in graphs:
-        n = g.n_nodes
+    for item in items:
+        n = size(item)
         if chunk and total + n > PREDICT_CHUNK_NODES:
             yield chunk
             chunk, total = [], 0
-        chunk.append(g)
+        chunk.append(item)
         total += n
     if chunk:
         yield chunk
 
 
-def predict(graphs: Iterable[SceneGraph], params: ModelParams, config: ModelConfig) -> Prediction:
+def predict(
+    graphs: nn.PackedGraphs | Iterable[SceneGraph], params: ModelParams, config: ModelConfig
+) -> Prediction:
     """Flags, corrected labels and confidences for every node of ``graphs``,
     concatenated in graph order.
 
-    The graphs are drawn lazily into batches of whole graphs capped at
-    PREDICT_CHUNK_NODES nodes, and each batch is packed, run and reduced to
-    per-node values before the next is drawn, so neither a generator's graphs
-    nor the N x C class probabilities of a large input are held at once.
+    The graphs are taken in batches of whole graphs capped at
+    PREDICT_CHUNK_NODES nodes, and each batch is run and reduced to per-node
+    values before the next is taken, so the N x C class probabilities of a
+    large input are never held at once. A store's batches are gathered from
+    it; any other iterable is drawn lazily and each batch packed, so neither
+    a generator's graphs are held at once.
     """
+    if isinstance(graphs, nn.PackedGraphs):
+        _check_compatible(graphs.n_classes, config)
+        ids = chunked(range(len(graphs)), graphs.graph_nodes.item)
+        batches = (nn.make_batch(graphs, chunk) for chunk in ids)
+    else:
+        batches = (nn.make_batch(_checked(chunk, config)) for chunk in chunked(graphs))
     parts = []
-    for chunk in chunked(graphs):
-        for g in chunk:
-            _check_compatible(g.n_classes, config)
-        cache = nn.full_forward(params, nn.make_batch(chunk))
+    for batch in batches:
+        cache = nn.full_forward(params, batch)
         class_probs = nn.softmax(cache.class_logits)
         parts.append((
             cache.validity_prob,
@@ -145,6 +168,12 @@ def predict(graphs: Iterable[SceneGraph], params: ModelParams, config: ModelConf
         confidence=confidence,
         validity_prob=v_prob,
     )
+
+
+def _checked(graphs: list[SceneGraph], config: ModelConfig) -> list[SceneGraph]:
+    for g in graphs:
+        _check_compatible(g.n_classes, config)
+    return graphs
 
 
 # ---------------------------------------------------------------------------

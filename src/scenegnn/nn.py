@@ -3,8 +3,9 @@ hand-written reverse-mode gradients and Adam. float64 throughout.
 
 No ML framework. Mean aggregation is one batched matmul over a dense block per
 graph, its row-normalised adjacency padded to the batch's largest graph. Every
-batch is gathered from a PackedGraphs store: training packs its training set
-once, and make_batch packs a list it is given, such as one chunk of predict's.
+batch is gathered from a PackedGraphs store: build_dataset fills one as it
+builds, and make_batch packs a list it is given, such as one chunk of
+predict's.
 
 A training step allocates little beyond its activations: the forward adds the
 bias and applies the ReLU in place, backward writes every gradient into views
@@ -15,9 +16,9 @@ in place. Each of these keeps the bits of the plain expressions it replaces.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -127,49 +128,106 @@ def mean_aggregate(blocks: np.ndarray, slot: np.ndarray, h: np.ndarray) -> np.nd
 
 
 class PackedGraphs:
-    """Compact store of a list of graphs, the one form in which the network
-    reads graphs: make_batch gathers a batch of any of them. Training packs
-    its training set into one, and make_batch packs a list it is given.
+    """Compact store of a sequence of graphs, the one form in which the
+    network reads graphs: make_batch gathers a batch of any of them.
+    build_dataset fills one as it builds, and a list of graphs is packed
+    into one where the network reads it.
 
-    Per node it holds the box features, current label, targets, degree and
+    Per node it holds the corner boxes, current label, targets, degree and
     the mean normalised feature of the node's out-edges; per edge, the
     neighbour's index within its graph, grouped by source (a stable sort
     runs only when some graph's edges are not); per graph, node and edge
-    offsets. The one-hot inputs and the adjacency blocks are built per
-    batch.
+    offsets. The one-hot inputs, the box features and the adjacency blocks
+    are built per batch.
+
+    Indexing, slicing and iteration give read-only ``SceneGraph`` views, as
+    a list gives its graphs; a view's ``edges`` are rebuilt from the degrees
+    and neighbours.
     """
+
+    # graphs whose node rows are copied in by one concatenation per array
+    FILL_CHUNK = 64
 
     def __init__(self, graphs: list[SceneGraph]) -> None:
         if not graphs:
             raise ValueError("need at least one graph to pack")
-        classes = {g.n_classes for g in graphs}
-        if len(classes) != 1:
-            raise ValueError(f"graphs built with different n_classes: {sorted(classes)}")
-        self.n_classes = classes.pop()
-        sizes = [g.n_nodes for g in graphs]
+        self._fill(graphs, [g.n_nodes for g in graphs], graphs[0].n_classes)
+
+    @classmethod
+    def build(cls, graphs: Iterable[SceneGraph], sizes: list[int], n_classes: int) -> PackedGraphs:
+        """The store of ``graphs``, drawn one at a time, whose node counts
+        ``sizes`` are known before they are built: every node array is
+        allocated once, and only each chunk's neighbour lists wait for the
+        end."""
+        store = cls.__new__(cls)
+        store._fill(graphs, sizes, n_classes)
+        return store
+
+    def _fill(self, graphs: Iterable[SceneGraph], sizes: list[int], n_classes: int) -> None:
+        self.n_classes = n_classes
+        starts = [0, *accumulate(sizes)]
         self.graph_nodes = np.array(sizes, dtype=np.int64)
-        self.node_start = np.array([0, *accumulate(sizes)], dtype=np.int64)
-        self.edge_start = np.array([0, *accumulate(g.n_edges for g in graphs)], dtype=np.int64)
-        n = int(self.node_start[-1])
-        # once per store from all the boxes: the graphs keep no copy, and a
-        # gather per batch costs less than computing them per batch
-        self.node_features = box_features(np.concatenate([g.boxes for g in graphs]))
-        self.current_labels = np.concatenate([g.current_labels for g in graphs])
-        self.validity = np.concatenate([g.validity for g in graphs])
-        self.original_labels = np.concatenate([g.original_labels for g in graphs])
-        self.edge_mean = np.concatenate([g.edge_mean for g in graphs])
-        # graphs own disjoint, increasing ranges of the global source index,
-        # so one stable sort keeps each graph's edges in its range, by source;
-        # build_graph's edges are already grouped, and need none
-        src = np.concatenate([g.edges[:, 0] for g in graphs], dtype=np.int32)
-        src += np.repeat(self.node_start[:-1].astype(np.int32), np.diff(self.edge_start))
-        self.degree = np.bincount(src, minlength=n).astype(np.int32)
-        self.neighbour = np.concatenate([g.edges[:, 1] for g in graphs], dtype=np.int32)
-        if not (src[1:] >= src[:-1]).all():
-            self.neighbour = self.neighbour[np.argsort(src, kind="stable")]
+        self.node_start = np.array(starts, dtype=np.int64)
+        n = starts[-1]
+        self.boxes = np.empty((n, 4))
+        self.current_labels = np.empty(n, dtype=np.int64)
+        self.validity = np.empty(n, dtype=bool)
+        self.original_labels = np.empty(n, dtype=np.int64)
+        self.edge_mean = np.empty((n, 6))
+        self.degree = np.empty(n, dtype=np.int32)
+        neighbours, edge_counts = [], []
+        graphs = iter(graphs)
+        for first in range(0, len(sizes), self.FILL_CHUNK):
+            chunk = list(islice(graphs, self.FILL_CHUNK))
+            last = first + len(chunk)
+            if not chunk or [g.n_nodes for g in chunk] != sizes[first:last]:
+                raise ValueError(f"graphs do not match the {len(sizes)} node counts given")
+            if any(g.n_classes != n_classes for g in chunk):
+                other = sorted({n_classes, *(g.n_classes for g in chunk)})
+                raise ValueError(f"graphs built with different n_classes: {other}")
+            a, b = starts[first], starts[last]
+            for name in ("boxes", "current_labels", "validity", "original_labels", "edge_mean"):
+                getattr(self, name)[a:b] = np.concatenate([getattr(g, name) for g in chunk])
+            # graphs own disjoint, increasing ranges of the chunk's source
+            # index, so one stable sort keeps each graph's edges in its range,
+            # by source; build_graph's edges are already grouped, and need none
+            counts = [g.n_edges for g in chunk]
+            src = np.concatenate([g.edges[:, 0] for g in chunk], dtype=np.int32)
+            src += np.repeat((self.node_start[first:last] - a).astype(np.int32), counts)
+            self.degree[a:b] = np.bincount(src, minlength=b - a)
+            neighbour = np.concatenate([g.edges[:, 1] for g in chunk], dtype=np.int32)
+            if not (src[1:] >= src[:-1]).all():
+                neighbour = neighbour[np.argsort(src, kind="stable")]
+            neighbours.append(neighbour)
+            edge_counts += counts
+        if next(graphs, None) is not None:
+            raise ValueError(f"graphs do not match the {len(sizes)} node counts given")
+        self.edge_start = np.array([0, *accumulate(edge_counts)], dtype=np.int64)
+        self.neighbour = (
+            neighbours[0] if len(neighbours) == 1 else np.concatenate([np.empty(0, np.int32), *neighbours])
+        )
 
     def __len__(self) -> int:
         return self.graph_nodes.shape[0]
+
+    def __getitem__(self, index: int | slice) -> SceneGraph | list[SceneGraph]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        a, b = self.node_start[i], self.node_start[i + 1]
+        edges = np.empty((self.edge_start[i + 1] - self.edge_start[i], 2), dtype=np.int32)
+        edges[:, 0] = np.repeat(np.arange(b - a, dtype=np.int32), self.degree[a:b])
+        edges[:, 1] = self.neighbour[self.edge_start[i]: self.edge_start[i + 1]]
+        rows = {
+            name: getattr(self, name)[a:b]
+            for name in ("edge_mean", "boxes", "validity", "original_labels", "current_labels")
+        }
+        for arr in (edges, *rows.values()):
+            arr.setflags(write=False)
+        return SceneGraph(edges=edges, n_classes=self.n_classes, **rows)
+
+    def __iter__(self) -> Iterator[SceneGraph]:
+        return (self[i] for i in range(len(self)))
 
 
 def make_batch(
@@ -202,7 +260,7 @@ def make_batch(
     nc = store.n_classes
     x = np.zeros((n, nc + 4))
     x[np.arange(n), store.current_labels[node]] = 1.0
-    x[:, nc:] = store.node_features[node]
+    x[:, nc:] = box_features(store.boxes[node])
     validity = store.validity[node]
     weights = np.repeat(1.0 / (sizes * len(sizes)), sizes)
     return GraphBatch(

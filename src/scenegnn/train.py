@@ -10,7 +10,7 @@ import numpy as np
 from . import nn
 from .corrupt import CorruptionConfig, corrupt_frame, derive_seed
 from .metrics import evaluate_graphs
-from .model import ModelConfig, ModelParams, _check_compatible, init_model
+from .model import ModelConfig, ModelParams, init_model, packed
 from .scenegraph import Frame, SceneGraph, build_graph
 
 # The training loss's weights of the validity BCE and the label CE, and the
@@ -36,23 +36,25 @@ def split_dataset(
     )
 
 
-def build_dataset(
-    frames: list[Frame], config: ModelConfig, seed: int
-) -> list[SceneGraph]:
-    """One clean graph plus one corrupted twin per frame (1:1). Each frame's
-    labels are taken as right; its annotation, if any, is not read.
+def build_dataset(frames: list[Frame], config: ModelConfig, seed: int) -> nn.PackedGraphs:
+    """One clean graph plus one corrupted twin per frame (1:1), in that
+    order, packed as they are built. Each frame's labels are taken as right;
+    its annotation, if any, is not read.
 
     Corruption happens after splitting, so a frame's twin can never leak
     across splits.
     """
     cc = CorruptionConfig(rho=config.rho, seed=seed)
-    graphs: list[SceneGraph] = []
-    for frame in frames:
-        clean = Frame.from_arrays(frame.frame_id, frame.boxes, frame.labels)
-        graphs.append(build_graph(clean, config.k, config.n_classes))
-        twin = corrupt_frame(frame, cc, config.n_classes)
-        graphs.append(build_graph(twin, config.k, config.n_classes))
-    return graphs
+
+    def graphs():
+        for frame in frames:
+            clean = Frame.from_arrays(frame.frame_id, frame.boxes, frame.labels)
+            yield build_graph(clean, config.k, config.n_classes)
+            twin = corrupt_frame(frame, cc, config.n_classes)
+            yield build_graph(twin, config.k, config.n_classes)
+
+    sizes = [len(f.labels) for f in frames for _ in range(2)]
+    return nn.PackedGraphs.build(graphs(), sizes, config.n_classes)
 
 
 @dataclass
@@ -74,25 +76,23 @@ class TrainHistory:
 
 
 def train(
-    train_graphs: list[SceneGraph],
+    train_graphs: nn.PackedGraphs | list[SceneGraph],
     config: ModelConfig,
-    val_graphs: list[SceneGraph] | None = None,
+    val_graphs: nn.PackedGraphs | list[SceneGraph] | None = None,
 ) -> tuple[ModelParams, ModelParams, TrainHistory]:
     """Fixed-epoch Adam training; returns (final, best-validation, history).
 
     Mini-batches are whole graphs; per-graph node-mean losses are averaged
     within each batch, the loss is LAM_VALID * BCE + LAM_LABEL * CE, and the
-    label head's CE is weighted on corrupted nodes only. The training set
-    is packed once, and every batch is gathered from it; each epoch ends
-    with evaluate_graphs on the validation set. Without a validation set
-    the best checkpoint is the final one.
+    label head's CE is weighted on corrupted nodes only. Every batch is
+    gathered from the training store, and each epoch ends with
+    evaluate_graphs on the validation store; a list of graphs is packed
+    first. Without a validation set the best checkpoint is the final one.
     """
     if not train_graphs:
         raise ValueError("empty training set")
-    train_set = nn.PackedGraphs(train_graphs)
-    _check_compatible(train_set.n_classes, config)
-    for g in val_graphs or ():
-        _check_compatible(g.n_classes, config)
+    train_set = packed(train_graphs, config)
+    val_set = packed(val_graphs, config) if val_graphs else None
     rng = np.random.default_rng(derive_seed(config.seed, "train"))
     params = init_model(config, np.random.default_rng(derive_seed(config.seed, "init")))
     state = nn.AdamState.for_params(params, lr=config.lr)
@@ -120,8 +120,8 @@ def train(
             epoch_ce.append(ce)
 
         val_acc = val_f1 = None
-        if val_graphs:
-            report = evaluate_graphs(val_graphs, params, config)
+        if val_set:
+            report = evaluate_graphs(val_set, params, config)
             val_acc, val_f1 = report.validity_accuracy, report.label.weighted_f1
         history.epochs.append(
             EpochRecord(
@@ -133,7 +133,7 @@ def train(
                 val_label_f1=val_f1,
             )
         )
-        if not val_graphs or val_acc >= best_acc:
+        if not val_set or val_acc >= best_acc:
             best_acc = val_acc
             best_params = deepcopy(params)
     return params, best_params, history

@@ -456,6 +456,28 @@ class TestCorruptCommand:
                 {**o, "validity": True, "original_label": o["class_id"]} for o in frame["objects"]
             ]
 
+    def test_corrupting_an_annotated_file_keeps_its_annotation(self, capsys, tmp_path):
+        # a second corruption over a corrupted file: every object's original
+        # label stays the clean file's, and it is valid exactly when its
+        # label is that original label
+        clean, once, twice = (str(tmp_path / f"{name}.jsonl") for name in ("clean", "once", "twice"))
+        for argv in (
+            ["--seed", "4", "synth", "--classes", "6", "--frames", "40", "--out", clean],
+            ["--seed", "4", "corrupt", "--data", clean, "--rho", "2", "--out", once],
+            ["--seed", "5", "corrupt", "--data", once, "--rho", "1", "--out", twice],
+        ):
+            code, _, err = _run(capsys, argv)
+            assert code == EXIT_OK, err
+
+        def objects(path):
+            return [o for line in Path(path).read_text().splitlines()[1:] for o in json.loads(line)["objects"]]
+
+        truth = [o["class_id"] for o in objects(clean)]
+        assert sum(not o["validity"] for o in objects(once)) >= 40
+        for o, label in zip(objects(twice), truth, strict=True):
+            assert o["original_label"] == label
+            assert o["validity"] == (o["class_id"] == label)
+
     @pytest.mark.parametrize("sigma", ["inf", "nan"])
     def test_non_finite_sigma_exits_1(self, capsys, tmp_path, sigma):
         data = str(tmp_path / "data.jsonl")

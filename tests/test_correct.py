@@ -289,12 +289,16 @@ class TestMemoryBudget:
     # Traced bytes that rendered views hold per object: boxes and labels
     # (40 B) plus each frame's arrays, id and object.
     BYTES_PER_OBJECT = 160
-    # Traced bytes that build_dataset graphs hold per graph at desk shapes
-    # (about 9 nodes and 52 edges): edges, edge means, the slotted graph and
-    # the arrays of each corrupted twin, about 1.65 KB. A graph that also
+    # Traced bytes that build_dataset's store holds per graph at desk shapes
+    # (about 9 nodes and 52 edges): node rows of boxes, labels, targets,
+    # degree and edge means, and one neighbour index per edge, about 1.18 KB.
+    # A list of slotted graphs held about 1.65 KB, and it peaked at about
+    # 1.68 KB while it was built; the store peaks at about 1.53 KB, while its
+    # neighbour lists wait for their one concatenation. A graph that also
     # held its node features and a __dict__ would hold about 2.2 KB, and one
     # that held its raw E x 6 edge geometry too about 4.4 KB.
-    BYTES_PER_GRAPH = 1800
+    BYTES_PER_GRAPH = 1300
+    PEAK_BYTES_PER_GRAPH = 1620
     # Traced bytes of one Detection with its BoundingBox and their five
     # floats: 248 B when both are slotted, about 288 B when either has a
     # __dict__ and 328 B when both have.
@@ -335,11 +339,12 @@ class TestMemoryBudget:
         tracemalloc.start()
         try:
             graphs = build_dataset(frames, config, 1)
-            held, _ = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(graphs) == 600 and sum(g.n_edges for g in graphs) > 40 * len(graphs)
         assert held / len(graphs) < self.BYTES_PER_GRAPH
+        assert peak / len(graphs) < self.PEAK_BYTES_PER_GRAPH
 
     def test_graphs_and_detections_have_no_instance_dict(self):
         frame = Frame("f", (SceneObject(1, BoundingBox(0.1, 0.1, 0.2, 0.2)),))

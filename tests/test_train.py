@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from scenegnn import nn
-from scenegnn.corrupt import derive_seed
+from scenegnn.corrupt import CorruptionConfig, corrupt_frame, derive_seed
 from scenegnn.geometry import BoundingBox
-from scenegnn.model import ConfigMismatchError, ModelConfig, init_model
-from scenegnn.scenegraph import Frame, SceneObject
+from scenegnn.metrics import evaluate_graphs
+from scenegnn.model import PREDICT_CHUNK_NODES, ConfigMismatchError, ModelConfig, init_model, predict
+from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject, build_graph
 from scenegnn.train import build_dataset, split_dataset, train
 
 
@@ -85,12 +86,45 @@ class TestBuildDataset:
             np.testing.assert_array_equal(changed, ~bad.validity)
 
 
-    def test_graphs_share_the_frames_labels(self):
+    def test_store_rows_are_the_frames_arrays(self):
         frames = _frames(4)
-        graphs = build_dataset(frames, ModelConfig(n_classes=6, rho=1), seed=3)
-        for frame, clean, bad in zip(frames, graphs[0::2], graphs[1::2]):
-            assert clean.boxes is frame.boxes and clean.current_labels is frame.labels
-            assert clean.original_labels is frame.labels and bad.original_labels is frame.labels
+        store = build_dataset(frames, ModelConfig(n_classes=6, rho=1), seed=3)
+        rows = [slice(a, b) for a, b in zip(store.node_start[:-1], store.node_start[1:])]
+        for frame, clean, bad in zip(frames, rows[0::2], rows[1::2]):
+            for name, values in (("boxes", frame.boxes), ("current_labels", frame.labels),
+                                 ("original_labels", frame.labels)):
+                assert getattr(store, name)[clean].tobytes() == values.tobytes(), name
+            assert store.original_labels[bad].tobytes() == frame.labels.tobytes()
+            assert store.validity[clean].all()
+
+    @pytest.mark.parametrize("k", [5, ALL_NEIGHBORS])
+    def test_views_are_the_graphs_of_their_frames_bit_for_bit(self, k):
+        single = Frame.from_arrays("single", [[0.2, 0.2, 0.4, 0.5]], [3])
+        frames = _frames(5, objects_per_frame=8)
+        frames.insert(2, single)
+        store = build_dataset(frames, ModelConfig(n_classes=6, k=k, rho=2), seed=3)
+        cc = CorruptionConfig(rho=2, seed=3)
+        expected = []
+        for f in frames:
+            expected.append(build_graph(Frame.from_arrays(f.frame_id, f.boxes, f.labels), k, 6))
+            expected.append(build_graph(corrupt_frame(f, cc, 6), k, 6))
+        views = list(store)
+        assert len(store) == len(views) == len(expected) == 12
+        assert expected[4].n_edges == 0 and expected[4].n_nodes == 1
+        for view, graph in zip(views, expected):
+            assert view.n_classes == 6
+            for name in ("edges", "edge_mean", "boxes", "current_labels", "validity", "original_labels"):
+                got, want = getattr(view, name), getattr(graph, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
+                assert not got.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            views[0].boxes[0, 0] = 0.5
+        # an index, a negative index and a slice give the views iteration gives
+        assert store[-1].edges.tobytes() == views[-1].edges.tobytes()
+        assert [v.edge_mean.tobytes() for v in store[3:7]] == [v.edge_mean.tobytes() for v in views[3:7]]
+        with pytest.raises(IndexError):
+            store[len(store)]
 
     def test_a_frames_annotation_is_not_read(self):
         frames = _frames(4)
@@ -113,6 +147,45 @@ class TestTrain:
         )
         base.update(kw)
         return ModelConfig(**base)
+
+    def test_a_store_and_the_list_of_its_views_give_the_same_bits(self):
+        # the validation store spans two of predict's chunks
+        cfg = self._small_config()
+        store = build_dataset(_frames(12), cfg, seed=0)
+        val = build_dataset(_frames(40, seed=9), cfg, seed=1)
+        assert val.node_start[-1] > PREDICT_CHUNK_NODES
+        final, best, history = train(store, cfg, val)
+        as_list = train(list(store), cfg, list(val))
+        for params, other in zip((final, best), as_list[:2]):
+            for (name, a), (_, b) in zip(nn.param_items(params), nn.param_items(other)):
+                assert a.tobytes() == b.tobytes(), name
+        assert history.to_jsonable() == as_list[2].to_jsonable()
+        a, b = predict(val, best, cfg), predict(list(val), best, cfg)
+        for name in ("is_invalid", "corrected_label", "confidence", "validity_prob"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert evaluate_graphs(val, best, cfg).to_jsonable() == evaluate_graphs(list(val), best, cfg).to_jsonable()
+
+    def test_training_packs_nothing_and_validates_from_one_store(self, monkeypatch):
+        cfg = self._small_config()
+        store = build_dataset(_frames(12), cfg, seed=0)
+        val = build_dataset(_frames(40, seed=9), cfg, seed=1)
+        fills, sources = [], []
+        fill, make_batch = nn.PackedGraphs._fill, nn.make_batch
+
+        def counting_fill(self, *args):
+            fills.append(args)
+            fill(self, *args)
+
+        def recording_make_batch(graphs, ids=None):
+            sources.append(graphs)
+            return make_batch(graphs, ids)
+
+        monkeypatch.setattr(nn.PackedGraphs, "_fill", counting_fill)
+        monkeypatch.setattr(nn, "make_batch", recording_make_batch)
+        train(store, cfg, val)
+        assert fills == []
+        assert all(s is store or s is val for s in sources)
+        assert sum(s is val for s in sources) >= 2 * cfg.epochs
 
     def test_zero_lr_is_a_no_op(self):
         cfg = self._small_config(lr=0.0)
@@ -180,7 +253,7 @@ class TestTrain:
 
         monkeypatch.setattr(nn, "backward", backward)
         with pytest.raises(ConfigMismatchError, match="n_classes=10"):
-            train(graphs, cfg, graphs[:2] + other)
+            train(graphs, cfg, graphs[:2] + list(other))
 
     def test_no_split_leakage_into_corruption(self):
         # corruption is applied after splitting: the test frames' graphs are
