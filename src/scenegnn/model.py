@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
-from typing import TypeVar
 
 import numpy as np
 
@@ -25,8 +24,6 @@ CHECKPOINT_VERSION = 1
 # gathers those batches from the store that build_dataset filled, and packs
 # nothing.
 PREDICT_CHUNK_NODES = 256
-
-T = TypeVar("T")
 
 
 class CheckpointError(Exception):
@@ -115,7 +112,7 @@ def packed(graphs: nn.PackedGraphs | list[SceneGraph], config: ModelConfig) -> n
     return nn.PackedGraphs(_checked(graphs, config))
 
 
-def chunked(items: Iterable[T], size: Callable[[T], int] = lambda g: g.n_nodes) -> Iterator[list[T]]:
+def chunked(items: Iterable, size: Callable[..., int] = lambda g: g.n_nodes) -> Iterator[list]:
     """Consecutive runs of ``items`` (graphs, by default), drawn one at a
     time, whose ``size`` adds up to at most PREDICT_CHUNK_NODES nodes; a
     larger item is a run of its own."""
@@ -141,8 +138,8 @@ def predict(
     PREDICT_CHUNK_NODES nodes, and each batch is run and reduced to per-node
     values before the next is taken, so the N x C class probabilities of a
     large input are never held at once. A store's batches are gathered from
-    it; any other iterable is drawn lazily and each batch packed, so neither
-    a generator's graphs are held at once.
+    it. Any other iterable is drawn lazily, one batch at a time, and each
+    batch is packed, so a generator's graphs are never all held at once.
     """
     if isinstance(graphs, nn.PackedGraphs):
         _check_compatible(graphs.n_classes, config)

@@ -203,9 +203,7 @@ class PackedGraphs:
         if next(graphs, None) is not None:
             raise ValueError(f"graphs do not match the {len(sizes)} node counts given")
         self.edge_start = np.array([0, *accumulate(edge_counts)], dtype=np.int64)
-        self.neighbour = (
-            neighbours[0] if len(neighbours) == 1 else np.concatenate([np.empty(0, np.int32), *neighbours])
-        )
+        self.neighbour = np.concatenate(neighbours) if neighbours else np.empty(0, np.int32)
 
     def __len__(self) -> int:
         return self.graph_nodes.shape[0]
