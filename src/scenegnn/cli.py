@@ -190,7 +190,7 @@ def _cmd_eval(args) -> dict:
             f"dataset has n_classes={dataset.n_classes}, "
             f"checkpoint expects {ckpt.config.n_classes}"
         )
-    graphs = PackedGraphs.build(
+    graphs = PackedGraphs(
         (build_graph(f, ckpt.config.k, dataset.n_classes) for f in dataset.frames),
         [len(f.labels) for f in dataset.frames],
         dataset.n_classes,

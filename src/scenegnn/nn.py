@@ -148,22 +148,21 @@ class PackedGraphs:
     # graphs whose node rows are copied in by one concatenation per array
     FILL_CHUNK = 64
 
-    def __init__(self, graphs: list[SceneGraph]) -> None:
-        if not graphs:
-            raise ValueError("need at least one graph to pack")
-        self._fill(graphs, [g.n_nodes for g in graphs], graphs[0].n_classes)
-
-    @classmethod
-    def build(cls, graphs: Iterable[SceneGraph], sizes: list[int], n_classes: int) -> PackedGraphs:
-        """The store of ``graphs``, drawn one at a time, whose node counts
-        ``sizes`` are known before they are built: every node array is
-        allocated once, and only each chunk's neighbour lists wait for the
-        end."""
-        store = cls.__new__(cls)
-        store._fill(graphs, sizes, n_classes)
-        return store
-
-    def _fill(self, graphs: Iterable[SceneGraph], sizes: list[int], n_classes: int) -> None:
+    def __init__(
+        self,
+        graphs: Iterable[SceneGraph],
+        sizes: list[int] | None = None,
+        n_classes: int | None = None,
+    ) -> None:
+        """The store of ``graphs``: a list, or any iterable whose node
+        counts ``sizes`` and ``n_classes`` are known before its graphs are
+        built. Those are drawn a chunk at a time into node arrays allocated
+        once, so only each chunk's neighbour list waits for the end."""
+        if sizes is None:
+            graphs = list(graphs)
+            if not graphs:
+                raise ValueError("need at least one graph to pack")
+            sizes, n_classes = [g.n_nodes for g in graphs], graphs[0].n_classes
         self.n_classes = n_classes
         starts = [0, *accumulate(sizes)]
         self.graph_nodes = np.array(sizes, dtype=np.int64)
@@ -177,11 +176,12 @@ class PackedGraphs:
         self.degree = np.empty(n, dtype=np.int32)
         neighbours, edge_counts = [], []
         graphs = iter(graphs)
+        mismatch = f"graphs do not match the {len(sizes)} node counts given"
         for first in range(0, len(sizes), self.FILL_CHUNK):
             chunk = list(islice(graphs, self.FILL_CHUNK))
             last = first + len(chunk)
-            if not chunk or [g.n_nodes for g in chunk] != sizes[first:last]:
-                raise ValueError(f"graphs do not match the {len(sizes)} node counts given")
+            if [g.n_nodes for g in chunk] != sizes[first: first + self.FILL_CHUNK]:
+                raise ValueError(mismatch)
             if any(g.n_classes != n_classes for g in chunk):
                 other = sorted({n_classes, *(g.n_classes for g in chunk)})
                 raise ValueError(f"graphs built with different n_classes: {other}")
@@ -201,7 +201,7 @@ class PackedGraphs:
             neighbours.append(neighbour)
             edge_counts += counts
         if next(graphs, None) is not None:
-            raise ValueError(f"graphs do not match the {len(sizes)} node counts given")
+            raise ValueError(mismatch)
         self.edge_start = np.array([0, *accumulate(edge_counts)], dtype=np.int64)
         self.neighbour = np.concatenate(neighbours) if neighbours else np.empty(0, np.int32)
 

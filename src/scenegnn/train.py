@@ -54,7 +54,7 @@ def build_dataset(frames: list[Frame], config: ModelConfig, seed: int) -> nn.Pac
             yield build_graph(twin, config.k, config.n_classes)
 
     sizes = [len(f.labels) for f in frames for _ in range(2)]
-    return nn.PackedGraphs.build(graphs(), sizes, config.n_classes)
+    return nn.PackedGraphs(graphs(), sizes, config.n_classes)
 
 
 @dataclass

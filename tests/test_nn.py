@@ -458,6 +458,20 @@ class TestPackedBatch:
         with pytest.raises(ValueError, match="n_classes"):
             nn.PackedGraphs([random_graph(3, rng), random_graph(3, rng, n_classes=6)])
 
+    def test_graphs_drawn_must_match_the_node_counts_given(self):
+        rng = np.random.default_rng(18)
+        graphs = [random_graph(int(n), rng) for n in rng.integers(1, 9, 70)]
+        sizes = [g.n_nodes for g in graphs]
+        store = nn.PackedGraphs(iter(graphs), sizes, N_CLASSES)
+        assert store.graph_nodes.tolist() == sizes
+        # one count off, one graph short in either chunk, one graph too many
+        for drawn, counts in (
+            (graphs, sizes[:-1] + [sizes[-1] + 1]), (graphs[:-1], sizes),
+            (graphs[:63] + graphs[64:], sizes), (graphs, sizes[:-1]),
+        ):
+            with pytest.raises(ValueError, match="node counts"):
+                nn.PackedGraphs(iter(drawn), counts, N_CLASSES)
+
 
 class TestMeanAggregate:
     def test_equals_per_node_sums(self, complete_graph):

@@ -169,21 +169,21 @@ class TestTrain:
         cfg = self._small_config()
         store = build_dataset(_frames(12), cfg, seed=0)
         val = build_dataset(_frames(40, seed=9), cfg, seed=1)
-        fills, sources = [], []
-        fill, make_batch = nn.PackedGraphs._fill, nn.make_batch
+        packs, sources = [], []
+        pack, make_batch = nn.PackedGraphs.__init__, nn.make_batch
 
-        def counting_fill(self, *args):
-            fills.append(args)
-            fill(self, *args)
+        def counting_pack(self, *args):
+            packs.append(args)
+            pack(self, *args)
 
         def recording_make_batch(graphs, ids=None):
             sources.append(graphs)
             return make_batch(graphs, ids)
 
-        monkeypatch.setattr(nn.PackedGraphs, "_fill", counting_fill)
+        monkeypatch.setattr(nn.PackedGraphs, "__init__", counting_pack)
         monkeypatch.setattr(nn, "make_batch", recording_make_batch)
         train(store, cfg, val)
-        assert fills == []
+        assert packs == []
         assert all(s is store or s is val for s in sources)
         assert sum(s is val for s in sources) >= 2 * cfg.epochs
 
