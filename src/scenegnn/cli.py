@@ -143,7 +143,8 @@ def _corrupt_annotated(frame: Frame, cfg: CorruptionConfig, n_classes: int) -> F
     annotated input marks wrong stays wrong unless corruption restores it."""
     out = corrupt_frame(frame, cfg, n_classes)
     original = frame.labels if frame.original_labels is None else frame.original_labels
-    return Frame.from_arrays(frame.frame_id, out.boxes, out.labels, out.labels == original, original)
+    valid = out.labels == original
+    return Frame.from_arrays(frame.frame_id, out.boxes, out.labels, valid, original)
 
 
 def _cmd_train(args) -> dict:

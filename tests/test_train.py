@@ -9,7 +9,9 @@ from scenegnn import nn
 from scenegnn.corrupt import CorruptionConfig, corrupt_frame, derive_seed
 from scenegnn.geometry import BoundingBox
 from scenegnn.metrics import evaluate_graphs
-from scenegnn.model import PREDICT_CHUNK_NODES, ConfigMismatchError, ModelConfig, init_model, predict
+from scenegnn.model import (
+    PREDICT_CHUNK_NODES, ConfigMismatchError, ModelConfig, init_model, predict,
+)
 from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject, build_graph
 from scenegnn.train import build_dataset, split_dataset, train
 
@@ -122,7 +124,9 @@ class TestBuildDataset:
             views[0].boxes[0, 0] = 0.5
         # an index, a negative index and a slice give the views iteration gives
         assert store[-1].edges.tobytes() == views[-1].edges.tobytes()
-        assert [v.edge_mean.tobytes() for v in store[3:7]] == [v.edge_mean.tobytes() for v in views[3:7]]
+        assert [v.edge_mean.tobytes() for v in store[3:7]] == [
+            v.edge_mean.tobytes() for v in views[3:7]
+        ]
         with pytest.raises(IndexError):
             store[len(store)]
 
@@ -163,7 +167,8 @@ class TestTrain:
         a, b = predict(val, best, cfg), predict(list(val), best, cfg)
         for name in ("is_invalid", "corrected_label", "confidence", "validity_prob"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-        assert evaluate_graphs(val, best, cfg).to_jsonable() == evaluate_graphs(list(val), best, cfg).to_jsonable()
+        report = evaluate_graphs(val, best, cfg).to_jsonable()
+        assert report == evaluate_graphs(list(val), best, cfg).to_jsonable()
 
     def test_training_packs_nothing_and_validates_from_one_store(self, monkeypatch):
         cfg = self._small_config()
