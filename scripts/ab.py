@@ -44,7 +44,6 @@ import cProfile
 import importlib
 import importlib.util
 import io
-import pstats
 import statistics
 import subprocess
 import sys
@@ -199,13 +198,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def self_times(profile: cProfile.Profile, package_dir: str) -> dict[str, float]:
     """Self seconds per function, named ``file(function)`` with the
-    package's files as ``scenegnn/...``, so that the two sides line up."""
+    package's files as ``scenegnn/...``, so that the two sides line up.
+    Summed over the profiler's entries, since ``pstats`` keeps only one of
+    the functions that share a file, line and name, such as every
+    dataclass's generated ``__init__``."""
     out: dict[str, float] = {}
-    for (path, _, func), (_, _, tottime, _, _) in pstats.Stats(profile).stats.items():
-        if path.startswith(package_dir):
-            path = "scenegnn" + path[len(package_dir):]
-        name = func if path == "~" else f"{Path(path).name if path[0] == '/' else path}({func})"
-        out[name] = out.get(name, 0.0) + tottime
+    for entry in profile.getstats():
+        code = entry.code
+        if isinstance(code, str):  # a built-in
+            name = code
+        else:
+            path = code.co_filename
+            if path.startswith(package_dir):
+                path = "scenegnn" + path[len(package_dir):]
+            elif path.startswith("/"):
+                path = Path(path).name
+            name = f"{path}({code.co_name})"
+        out[name] = out.get(name, 0.0) + entry.inlinetime
     return out
 
 
