@@ -22,11 +22,13 @@ the timed ones and prints the functions with the most self time on either
 side, with each one's change/parent ratio.
 
 Workloads:
-  train   desk scale (39 classes, 2000 views, k=5, rho=3, 30 epochs, seeded
-          as scripts/run_pipeline.py): build_dataset of the training and
-          of the validation frames (two steps), train() with validation,
-          and five correct_detections calls (one per step) over the test
-          frames' simulated detections with the best parameters.
+  train   desk scale (39 classes, 2000 views, k=5, rho=3, seeded as
+          scripts/run_pipeline.py): build_dataset of the training and of
+          the validation frames (two steps), six 5-epoch train() calls with
+          validation on the same data and seed (one per step), and five
+          correct_detections calls (one per step) over the test frames'
+          simulated detections with the best parameters of one 30-epoch
+          train() that each side makes before the rounds.
   stream  600 views' simulated detections, one correct_detections call per
           frame and step, as a closed-loop client makes them, with random
           weights.
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -89,7 +92,11 @@ def random_model(P, k):
 
 class Train:
     OPS = ("build_dataset", "train", "correct_detections")
-    CORRECT_CALLS = 5  # one call lasts about 0.1 s, too short to time alone
+    # a 30-epoch call lasts about 5 s, too long a step for the sides to
+    # share the machine's drift; one correction call lasts about 0.1 s, too
+    # short to time alone
+    TRAIN_CALLS, TRAIN_EPOCHS = 6, 5
+    CORRECT_CALLS = 5
 
     def __init__(self, P, seed: int):
         derive = P.corrupt.derive_seed
@@ -101,6 +108,9 @@ class Train:
         self.dets = P.correct.simulate_detector(
             test_f, N_CLASSES, rho_det=3, sigma_det=0.01, seed=derive(seed, "detector")
         )
+        for _ in self.build_dataset():
+            pass
+        _, self.best, _ = P.train.train(self.train_g, self.config, self.val_g)
 
     def build_dataset(self):
         derive, build = self.P.corrupt.derive_seed, self.P.train.build_dataset
@@ -110,8 +120,10 @@ class Train:
         yield
 
     def train(self):
-        _, self.best, _ = self.P.train.train(self.train_g, self.config, self.val_g)
-        yield
+        config = dataclasses.replace(self.config, epochs=self.TRAIN_EPOCHS)
+        for _ in range(self.TRAIN_CALLS):
+            self.P.train.train(self.train_g, config, self.val_g)
+            yield
 
     def correct_detections(self):
         for _ in range(self.CORRECT_CALLS):

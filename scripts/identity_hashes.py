@@ -30,7 +30,7 @@ from scenegnn.corrupt import derive_seed
 from scenegnn.metrics import evaluate_graphs, map50
 from scenegnn.model import ModelConfig, save_checkpoint
 from scenegnn.nn import param_items
-from scenegnn.scenegraph import ALL_NEIGHBORS
+from scenegnn.scenegraph import ALL_NEIGHBORS, box_features
 from scenegnn.synth import gen_template, render_views
 from scenegnn.train import build_dataset, split_dataset, train
 
@@ -66,7 +66,7 @@ def graphs_hash(graphs) -> str:
         g.edges.astype("<i8").tobytes()
         + g.edge_features.astype("<f8").tobytes()
         + g.edge_mean.astype("<f8").tobytes()
-        + g.node_features.astype("<f8").tobytes()
+        + box_features(g.boxes).astype("<f8").tobytes()
         for g in graphs
     ))
 

@@ -3,7 +3,6 @@
 from .correct import correct_detections, simulate_detector
 from .geometry import BoundingBox, EdgeGeometry, iou, pairwise_geometry
 from .metrics import (
-    Detection,
     EvalReport,
     evaluate_graphs,
     label_metrics,
@@ -11,7 +10,7 @@ from .metrics import (
     validity_accuracy,
 )
 from .model import Checkpoint, ModelConfig, load_checkpoint, predict, save_checkpoint
-from .scenegraph import Frame, SceneGraph, SceneObject, build_graph
+from .scenegraph import Detection, Frame, SceneGraph, SceneObject, build_graph
 from .train import build_dataset, split_dataset, train
 
 __all__ = [

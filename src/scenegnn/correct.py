@@ -9,9 +9,8 @@ import numpy as np
 
 from .corrupt import CorruptionConfig, corrupt_frame, derive_seed
 from .geometry import BoundingBox
-from .metrics import Detection
 from .model import ModelConfig, ModelParams, predict
-from .scenegraph import Frame, build_graph, check_k
+from .scenegraph import Detection, Frame, build_graph, check_k
 
 
 @dataclass(slots=True)

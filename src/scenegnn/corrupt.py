@@ -42,15 +42,15 @@ def frame_rng(cfg: CorruptionConfig, frame_id: str) -> np.random.Generator:
 
 
 def corrupt_frame(frame: Frame, cfg: CorruptionConfig, n_classes: int) -> Frame:
-    """A copy of ``frame`` with up to rho objects corrupted, annotated with
-    each object's validity and the frame's labels as the original ones (the
-    frame's own annotation, if any, is not read).
+    """A copy of ``frame`` with up to rho objects corrupted, annotated
+    against the frame's ``original_labels`` (its ``labels`` when it has
+    none): an object is valid exactly when its label equals its original
+    one, so chained calls keep the first frame's labels as the original ones.
 
     Draws from frame_rng(cfg, frame.frame_id) m ~ Uniform{1..min(rho, N)},
     picks m distinct objects, swaps each label to a different uniformly-drawn
     class and jitters the four corner coordinates with N(0, sigma^2) noise
-    (re-ordered and clamped to [0, 1]). rho = 0 annotates every object valid
-    and changes nothing.
+    (re-ordered and clamped to [0, 1]). rho = 0 changes nothing.
     """
     n = len(frame.labels)
     if n == 0:
@@ -58,25 +58,22 @@ def corrupt_frame(frame: Frame, cfg: CorruptionConfig, n_classes: int) -> Frame:
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
 
-    original = frame.labels  # read-only, so shared
-    validity = np.ones(n, dtype=bool)
-    if cfg.rho == 0:
-        return Frame.from_arrays(frame.frame_id, frame.boxes, frame.labels, validity, original)
-
-    rng = frame_rng(cfg, frame.frame_id)
-    m = int(rng.integers(1, min(cfg.rho, n) + 1))
-    selected = rng.choice(n, size=m, replace=False)
-    labels, boxes = frame.labels.copy(), frame.boxes.copy()
-    for i in selected.tolist():
-        old = int(labels[i])
-        new = int(rng.integers(0, n_classes - 1))
-        if new >= old:
-            new += 1
-        labels[i] = new
-        if cfg.jitter_sigma > 0.0:
-            noise = rng.normal(0.0, cfg.jitter_sigma, size=4)
-            # (x_min, y_min) over (x_max, y_max): the sort orders each axis
-            boxes[i] = np.clip(np.sort((boxes[i] + noise).reshape(2, 2), axis=0).ravel(), 0.0, 1.0)
-        validity[i] = False
-
-    return Frame.from_arrays(frame.frame_id, boxes, labels, validity, original)
+    original = frame.labels if frame.original_labels is None else frame.original_labels
+    labels, boxes = frame.labels, frame.boxes  # read-only, so shared when rho = 0
+    if cfg.rho > 0:
+        rng = frame_rng(cfg, frame.frame_id)
+        m = int(rng.integers(1, min(cfg.rho, n) + 1))
+        selected = rng.choice(n, size=m, replace=False)
+        labels, boxes = labels.copy(), boxes.copy()
+        for i in selected.tolist():
+            old = int(labels[i])
+            new = int(rng.integers(0, n_classes - 1))
+            if new >= old:
+                new += 1
+            labels[i] = new
+            if cfg.jitter_sigma > 0.0:
+                noise = rng.normal(0.0, cfg.jitter_sigma, size=4)
+                # (x_min, y_min) over (x_max, y_max): the sort orders each axis
+                corners = np.sort((boxes[i] + noise).reshape(2, 2), axis=0).ravel()
+                boxes[i] = np.clip(corners, 0.0, 1.0)
+    return Frame.from_arrays(frame.frame_id, boxes, labels, labels == original, original)

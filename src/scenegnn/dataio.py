@@ -8,8 +8,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .geometry import BoundingBox
-from .metrics import Detection
-from .scenegraph import Frame
+from .scenegraph import Detection, Frame
 
 FRAMES_FORMAT_VERSION = 1
 

@@ -7,22 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox, iou_corners
+from .geometry import iou_corners
 from .model import ModelConfig, packed, predict
 from .nn import ModelParams, PackedGraphs
-from .scenegraph import Frame, SceneGraph
-
-
-@dataclass(frozen=True, slots=True)
-class Detection:
-    frame_id: str
-    class_id: int
-    bbox: BoundingBox
-    confidence: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+from .scenegraph import Detection, Frame, SceneGraph
 
 
 def validity_accuracy(predicted: np.ndarray, gt: np.ndarray) -> float:

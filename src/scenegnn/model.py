@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import nn
+from .dataio import atomic_write_text
 from .nn import ModelParams, param_items
 from .scenegraph import SceneGraph, check_k, is_integer
 
@@ -27,19 +28,8 @@ PREDICT_CHUNK_NODES = 256
 
 
 class CheckpointError(Exception):
-    pass
-
-
-class CheckpointFormatError(CheckpointError):
-    """File is not a readable checkpoint (truncated, bad magic, bad header)."""
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointDimensionError(CheckpointError):
-    pass
+    """A file that load_checkpoint cannot read as a checkpoint; the message
+    names the path and the first fault found."""
 
 
 class ConfigMismatchError(ValueError):
@@ -192,8 +182,6 @@ def save_checkpoint(
 ) -> None:
     """Self-describing header followed by little-endian float64 blocks in
     param_items order; written atomically."""
-    from .dataio import atomic_write_text  # here: model -> dataio -> metrics -> model is a cycle
-
     items = param_items(params)
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -214,24 +202,24 @@ def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointFormatError(f"{path}: not a scenegnn checkpoint")
+        raise CheckpointError(f"{path}: not a scenegnn checkpoint")
     nl = blob.find(b"\n", len(CHECKPOINT_MAGIC))
     if nl < 0:
-        raise CheckpointFormatError(f"{path}: truncated header")
+        raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(blob[len(CHECKPOINT_MAGIC): nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from exc
+        raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
-        raise CheckpointFormatError(f"{path}: header is not a JSON object")
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
+        raise CheckpointError(
             f"{path}: format_version {header.get('format_version')!r}, "
             f"expected {CHECKPOINT_VERSION}"
         )
     fields = header.get("config")
     if not isinstance(fields, dict):
-        raise CheckpointFormatError(f"{path}: config is not a JSON object")
+        raise CheckpointError(f"{path}: config is not a JSON object")
     # options that older checkpoints record: each reads only at the one value
     # the network still has
     for key, supported in (
@@ -239,7 +227,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     ):
         value = fields.pop(key, supported)
         if type(value) is not type(supported) or value != supported:
-            raise CheckpointFormatError(
+            raise CheckpointError(
                 f"{path}: {key} {value!r} is not supported, only {supported!r}"
             )
     # training settings that older checkpoints record: inference never reads them
@@ -248,15 +236,15 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:
         config = ModelConfig(**fields)
     except (TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"{path}: bad config: {exc}") from exc
+        raise CheckpointError(f"{path}: bad config: {exc}") from exc
 
     template = nn.zero_params(config.input_dim, config.hidden_dim, config.n_classes)
     items = param_items(template)
     tensors = header.get("tensors", [])
     if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
-        raise CheckpointFormatError(f"{path}: tensors is not a list of JSON objects")
+        raise CheckpointError(f"{path}: tensors is not a list of JSON objects")
     if [t.get("name") for t in tensors] != [name for name, _ in items]:
-        raise CheckpointDimensionError(f"{path}: unexpected tensor list")
+        raise CheckpointError(f"{path}: unexpected tensor list")
 
     # the body as far as it reaches, one view per tensor; blocks are then
     # checked in file order
@@ -268,14 +256,14 @@ def load_checkpoint(path: str) -> Checkpoint:
     end = 0
     for t, (name, loaded) in zip(tensors, param_items(params)):
         if t.get("shape") != list(loaded.shape):
-            raise CheckpointDimensionError(
+            raise CheckpointError(
                 f"{path}: {name} has shape {t.get('shape')}, expected {list(loaded.shape)}"
             )
         end += loaded.nbytes
         if end > body_len:
-            raise CheckpointFormatError(f"{path}: truncated parameter block {name}")
+            raise CheckpointError(f"{path}: truncated parameter block {name}")
         if not np.all(np.isfinite(loaded)):
-            raise CheckpointFormatError(f"{path}: non-finite values in {name}")
+            raise CheckpointError(f"{path}: non-finite values in {name}")
     if end != body_len:
-        raise CheckpointFormatError(f"{path}: trailing bytes after parameters")
+        raise CheckpointError(f"{path}: trailing bytes after parameters")
     return Checkpoint(config=config, params=params, metadata=header.get("metadata", {}))

@@ -1,6 +1,6 @@
-"""Per-frame spatial graphs read from one N x 4 box array: k-NN edges by one
-stable sort and each node's mean out-edge geometry. Node features and raw
-edge geometry are derived from the boxes when read."""
+"""Frames, detections and per-frame spatial graphs read from one N x 4 box
+array: k-NN edges by one stable sort and each node's mean out-edge geometry.
+Node features and raw edge geometry are derived from the boxes when read."""
 
 from __future__ import annotations
 
@@ -22,6 +22,18 @@ KOrAll = int | str
 class SceneObject:
     label_id: int
     bbox: BoundingBox
+
+
+@dataclass(frozen=True, slots=True)
+class Detection:
+    frame_id: str
+    class_id: int
+    bbox: BoundingBox
+    confidence: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -137,9 +149,9 @@ class Frame:
 @dataclass(slots=True, eq=False)
 class SceneGraph:
     """Graph view of one frame; node order follows the frame's object order.
-    ``node_features`` is computed from ``boxes`` on each access and
-    ``edge_features`` from ``boxes`` and ``edges`` on first access, so do not
-    edit ``edges`` after the build."""
+    ``edge_features`` is computed from ``boxes`` and ``edges`` on first
+    access, so do not edit ``edges`` after the build. The node features are
+    ``box_features(boxes)``."""
 
     edges: np.ndarray  # E x 2 int32 (src, dst), directed
     edge_mean: np.ndarray  # N x 6 mean normalised feature of each node's out-edges
@@ -157,11 +169,6 @@ class SceneGraph:
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
-
-    @property
-    def node_features(self) -> np.ndarray:
-        """N x 4 ``box_features`` of the boxes."""
-        return box_features(self.boxes)
 
     @property
     def edge_features(self) -> np.ndarray:

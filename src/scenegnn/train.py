@@ -50,7 +50,7 @@ def build_dataset(frames: list[Frame], config: ModelConfig, seed: int) -> nn.Pac
         for frame in frames:
             clean = Frame.from_arrays(frame.frame_id, frame.boxes, frame.labels)
             yield build_graph(clean, config.k, config.n_classes)
-            twin = corrupt_frame(frame, cc, config.n_classes)
+            twin = corrupt_frame(clean, cc, config.n_classes)
             yield build_graph(twin, config.k, config.n_classes)
 
     sizes = [len(f.labels) for f in frames for _ in range(2)]

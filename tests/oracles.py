@@ -69,7 +69,7 @@ def clamp_box(x_min: float, y_min: float, x_max: float, y_max: float) -> Boundin
 
 def center_and_size(boxes: np.ndarray) -> np.ndarray:
     """[x_center, y_center, w, h] of each row of the N x 4 corner array
-    ``boxes``, as one expression: the reference for ``SceneGraph.node_features``
+    ``boxes``, as one expression: the reference for ``scenegraph.box_features``
     and the box columns of a batch's ``x``."""
     return np.column_stack([(boxes[:, :2] + boxes[:, 2:]) / 2.0, boxes[:, 2:] - boxes[:, :2]])
 

@@ -540,6 +540,21 @@ class TestImports:
             unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
         assert unused == []
 
+    def test_no_import_inside_a_function_or_class(self):
+        # module-level imports only, so an import cycle between the package's
+        # modules fails at import time instead of hiding in a function body
+        package = Path(scenegnn.__file__).resolve().parent
+        scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        nested = set()
+        for path in sorted(package.glob("*.py")):
+            for scope in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(scope, scopes):
+                    nested |= {
+                        f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                    }
+        assert sorted(nested) == []
+
     def test_project_depends_on_numpy_only(self):
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

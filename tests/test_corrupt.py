@@ -98,6 +98,17 @@ def test_determinism():
     assert a == b  # annotation included
 
 
+def test_corrupting_twice_keeps_the_clean_labels_as_original():
+    clean = make_frame(8)
+    for trial in range(50):
+        once = corrupt_frame(clean, CorruptionConfig(rho=4, seed=2 * trial), 10)
+        twice = corrupt_frame(once, CorruptionConfig(rho=4, seed=2 * trial + 1), 10)
+        assert (twice.labels != once.labels).any()
+        for out in (once, twice):
+            assert np.array_equal(out.original_labels, clean.labels)
+            assert np.array_equal(out.validity, out.labels == clean.labels)
+
+
 def test_jittered_boxes_stay_valid():
     frame = make_frame(6)
     for trial in range(200):

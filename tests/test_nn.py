@@ -6,7 +6,7 @@ import pytest
 from scenegnn import nn
 from scenegnn.geometry import BoundingBox
 from scenegnn.model import PREDICT_CHUNK_NODES, ModelConfig, init_model
-from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject, build_graph
+from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject, box_features, build_graph
 
 from oracles import center_and_size, normalize_edge_features
 
@@ -81,7 +81,7 @@ class TestSageForward:
         layer = nn.SageLayer(
             w_self=np.eye(4), w_neigh=np.ones((4, 10)), bias=np.zeros(4)
         )
-        x = g.node_features
+        x = box_features(g.boxes)
         out = sage_layer(layer, x, g)
         np.testing.assert_array_equal(out, x)  # both empty-neighbourhood means are zero
 
@@ -123,8 +123,8 @@ class TestSageForward:
             w_neigh=rng.normal(size=(4, 10)),
             bias=rng.normal(size=4),
         )
-        a = sage_layer(layer, g.node_features, g)
-        b = sage_layer(layer, g2.node_features, g2)
+        a = sage_layer(layer, box_features(g.boxes), g)
+        b = sage_layer(layer, box_features(g2.boxes), g2)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_outputs_finite_for_bounded_inputs(self):
@@ -351,7 +351,7 @@ def reference_batch(graphs, own_means=()):
     for b, g in enumerate(graphs):
         x = np.zeros((g.n_nodes, g.n_classes + 4))
         x[np.arange(g.n_nodes), g.current_labels] = 1.0
-        x[:, g.n_classes:] = g.node_features
+        x[:, g.n_classes:] = box_features(g.boxes)
         xs.append(x)
         src, dst = g.edges[:, 0], g.edges[:, 1]
         share = 1.0 / np.bincount(src, minlength=g.n_nodes)[src]

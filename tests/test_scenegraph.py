@@ -10,6 +10,7 @@ from scenegnn.scenegraph import (
     ALL_NEIGHBORS,
     Frame,
     SceneObject,
+    box_features,
     build_graph,
     knn_edges,
     normalize_edge_column,
@@ -94,7 +95,7 @@ def reference_edges(frame, k):
 
 def node_features(o, n_classes):
     """[x_center, y_center, w, h] of one object: its class is not among them."""
-    return build_graph(Frame("f", (o,)), 1, n_classes).node_features[0]
+    return box_features(build_graph(Frame("f", (o,)), 1, n_classes).boxes)[0]
 
 
 def centers(objs):
@@ -235,8 +236,9 @@ class TestNodeFeatures:
         objs = [point_obj(int(rng.integers(39)), *rng.uniform(0.05, 0.95, 2), rng.uniform(0, 0.05))
                 for _ in range(n)]
         g = build_graph(Frame("f", tuple(objs)), k, 39)
-        assert g.node_features.dtype == np.float64 and g.node_features.shape == (n, 4)
-        assert g.node_features.tobytes() == center_and_size(g.boxes).tobytes()
+        features = box_features(g.boxes)
+        assert features.dtype == np.float64 and features.shape == (n, 4)
+        assert features.tobytes() == center_and_size(g.boxes).tobytes()
 
 
 class TestKnnEdges:
@@ -329,8 +331,8 @@ class TestBuildGraph:
                 for o in frame.objects
             ]
         )
-        assert g.node_features.tobytes() == expected.tobytes()
-        assert np.isfinite(g.node_features).all() and np.isfinite(g.edge_features).all()
+        assert box_features(g.boxes).tobytes() == expected.tobytes()
+        assert np.isfinite(box_features(g.boxes)).all() and np.isfinite(g.edge_features).all()
         # edge features bit for bit against the scalar geometry, (0, 6) for one object
         boxes = [o.bbox for o in frame.objects]
         expected_edges = [
@@ -411,7 +413,7 @@ class TestBuildGraph:
         objs = tuple(point_obj(i % 4, *rng.uniform(0.1, 0.9, 2)) for i in range(7))
         a = build_graph(Frame("f", objs), 3, 4)
         b = build_graph(Frame("f", objs), 3, 4)
-        assert np.array_equal(a.node_features, b.node_features)
+        assert np.array_equal(box_features(a.boxes), box_features(b.boxes))
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.edge_features, b.edge_features)
 
@@ -442,7 +444,7 @@ class TestBuildGraph:
         g1 = build_graph(frame, 3, 8)
         g2 = build_graph(permuted, 3, 8)
         # same multiset of (label, node feature row)
-        rows = lambda g: sorted(zip(g.current_labels.tolist(), map(tuple, g.node_features)))
+        rows = lambda g: sorted(zip(g.current_labels.tolist(), map(tuple, box_features(g.boxes))))
         assert rows(g1) == rows(g2)
         inv = {p: i for i, p in enumerate(perm)}
         mapped = {(inv[i], inv[j]) for i, j in g1.edges}

@@ -12,7 +12,7 @@ from scenegnn.metrics import evaluate_graphs
 from scenegnn.model import (
     PREDICT_CHUNK_NODES, ConfigMismatchError, ModelConfig, init_model, predict,
 )
-from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject, build_graph
+from scenegnn.scenegraph import ALL_NEIGHBORS, Frame, SceneObject, box_features, build_graph
 from scenegnn.train import build_dataset, split_dataset, train
 
 
@@ -269,7 +269,7 @@ class TestTrain:
         a = build_dataset(test_frames, cfg, seed=7)
         b = build_dataset(list(test_frames), cfg, seed=7)
         for ga, gb in zip(a, b):
-            np.testing.assert_array_equal(ga.node_features, gb.node_features)
+            np.testing.assert_array_equal(box_features(ga.boxes), box_features(gb.boxes))
             np.testing.assert_array_equal(ga.current_labels, gb.current_labels)
             np.testing.assert_array_equal(ga.validity, gb.validity)
 
